@@ -91,10 +91,8 @@ class NetLogArchive:
         stored in — falling back to the JSON path for visits that do not
         exist yet (the archive's historical default).
         """
-        directory = (
-            self.root / _safe_component(crawl) / _safe_component(os_name)
-        )
-        stem = _safe_component(domain)
+        os_part, stem = self.document_key(os_name, domain)
+        directory = self.root / _safe_component(crawl) / os_part
         if format is not None:
             return directory / (stem + get_codec(format).suffix)
         for suffix in ARCHIVE_SUFFIXES:
@@ -102,6 +100,16 @@ class NetLogArchive:
             if candidate.exists():
                 return candidate
         return directory / (stem + ARCHIVE_SUFFIXES[0])
+
+    @staticmethod
+    def document_key(os_name: str, domain: str) -> tuple[str, str]:
+        """The ``(path.parent.name, path.stem)`` of a visit's document.
+
+        :meth:`path_for` builds its names from this pair, so a set of keys
+        taken from one :meth:`entries` listing answers "is this visit
+        archived?" without a ``stat`` per visit.
+        """
+        return _safe_component(os_name), _safe_component(domain)
 
     def exists(self, crawl: str, os_name: str, domain: str) -> bool:
         return self.path_for(crawl, os_name, domain).exists()

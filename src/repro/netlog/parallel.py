@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .parser import NetLogParseError, ParseStats
+from .parser import NetLogParseError, ParseStats, loads
 
 #: Hard cap on pool size — parse workers are memory-light but there is
 #: no benefit past the physical core count.
@@ -50,28 +50,26 @@ def verify_document(path: str | Path) -> ParseStats:
     """Salvage-parse + fully verify one archived document by path.
 
     The standalone form of :meth:`NetLogArchive.verify` — importable by
-    pool workers without materialising an archive object.
+    pool workers without materialising an archive object.  One
+    whole-document :func:`~repro.netlog.parser.loads` serves both
+    encodings: JSON through C ``json.loads`` plus the shared record walk
+    (the streaming walker only salvages text that is not valid JSON),
+    binary with ``verify="full"``.
+
+    Never raises on document content: a document the parser rejects
+    (not a NetLog object, no ``events`` array, a value shape the record
+    walk cannot take) comes back as damage — one more malformed record,
+    and divergence at record 0 unless the walk had already pinned it —
+    so one foreign file is flagged by an audit instead of aborting it.
     """
-    import io
-
-    from .codec import FORMAT_BINARY, sniff_format
-    from .streaming import iter_events_streaming
-
-    stats = ParseStats()
     raw = Path(path).read_bytes()
-    if sniff_format(raw) == FORMAT_BINARY:
-        from .binary import iter_events_binary
-
-        for _ in iter_events_binary(
-            raw, strict=False, stats=stats, verify="full"
-        ):
-            pass
-        return stats
-    text = raw.decode("utf-8", errors="replace")
-    for _ in iter_events_streaming(
-        io.StringIO(text), strict=False, stats=stats
-    ):
-        pass
+    stats = ParseStats()
+    try:
+        loads(raw, strict=False, stats=stats, verify="full")
+    except Exception:  # noqa: BLE001 — content the walk cannot take is damage
+        stats.dropped_malformed += 1
+        if stats.first_divergence is None:
+            stats.first_divergence = 0
     return stats
 
 

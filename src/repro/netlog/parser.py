@@ -367,13 +367,20 @@ class ChainVerifier:
         strict: bool = False,
         stats: ParseStats | None = None,
     ) -> None:
-        """Verify the document's ``integrity`` trailer, if present."""
-        if not isinstance(trailer, dict) or not self.seen_checksums:
+        """Verify the document's ``integrity`` trailer, if present.
+
+        The record count is compared even when no checksummed record
+        survived, so an emptied ``events`` array under a trailer that
+        covers records is a chain break at record 0; the final chain
+        value is only comparable once a checksummed record was seen.
+        """
+        if not isinstance(trailer, dict):
             return
         expected_events = trailer.get("events")
         expected_chain = trailer.get("chain")
         if (
-            self.synced
+            self.seen_checksums
+            and self.synced
             and isinstance(expected_chain, int)
             and expected_chain != self.value
         ) or (

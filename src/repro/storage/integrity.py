@@ -423,9 +423,14 @@ def _scan_visits(
         "FROM visits WHERE crawl = ? ORDER BY os_name, domain",
         (crawl,),
     ).fetchall()
-    # Does this crawl keep an archive at all?  Only then is a missing
-    # document a finding (campaigns may legitimately run archive-less).
-    archived_crawl = archive is not None and any(True for _ in archive.entries(crawl))
+    # One listing of the crawl's archive answers every membership test.
+    # Only a crawl that keeps an archive at all can miss a document
+    # (campaigns may legitimately run archive-less).
+    archived = (
+        {(path.parent.name, path.stem) for path in archive.entries(crawl)}
+        if archive is not None
+        else set()
+    )
     for (
         visit_id,
         domain,
@@ -494,10 +499,10 @@ def _scan_visits(
                 )
         if (
             finding is None
-            and archived_crawl
+            and archived
             and success
             and not skipped
-            and not archive.exists(crawl, os_name, domain)
+            and archive.document_key(os_name, domain) not in archived
         ):
             finding = FsckFinding(
                 kind=FsckKind.MISSING_ARCHIVE,

@@ -320,7 +320,17 @@ def test_sigint_drains_children_then_resume_finishes(tmp_path):
         command, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    time.sleep(1.2)  # population build + early crawl; well short of done
+    # Signal once both shards are crawling (each has opened its store),
+    # however long the population build took; well short of done.
+    shard_stores = [
+        os.path.join(shard_dir, f"shard-{shard:02d}.db") for shard in range(2)
+    ]
+    deadline = time.monotonic() + 60
+    while not all(os.path.exists(path) for path in shard_stores):
+        if process.poll() is not None or time.monotonic() > deadline:
+            process.kill()
+            pytest.fail(f"shard stores never appeared: {process.communicate()}")
+        time.sleep(0.05)
     process.send_signal(signal.SIGINT)
     stdout, stderr = process.communicate(timeout=120)
     assert process.returncode == 130, (stdout, stderr)

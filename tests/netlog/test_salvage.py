@@ -15,6 +15,7 @@ import pytest
 from repro.netlog import (
     EventPhase,
     EventType,
+    NetLogArchive,
     NetLogEvent,
     NetLogIntegrityError,
     NetLogParseError,
@@ -27,6 +28,10 @@ from repro.netlog import (
     loads,
     parse_record,
 )
+from repro.netlog.binary import iter_events_binary
+from repro.netlog.convert import to_binary
+from repro.storage import TelemetryStore
+from repro.storage.integrity import FsckKind, fsck
 
 
 def _event(time=0.0, source_id=1, params=None):
@@ -261,6 +266,59 @@ class TestChecksummedCorruption:
             assert stats.checksum_failures == 0
             assert stats.chain_breaks == 1  # the trailer mismatch
             assert stats.first_divergence == 7
+
+    def test_emptied_events_array_caught_by_trailer(
+        self, checksummed, tmp_path
+    ):
+        # Every record removed, trailer intact: no checksummed record is
+        # left to verify, so only the trailer's count can reveal the loss
+        # — in both encodings, both binary verify regimes, and fsck.
+        document = json.loads(checksummed)
+        assert document["integrity"]["events"] == 10
+        document["events"] = []
+        emptied = json.dumps(document)
+        binary = to_binary(emptied)
+        parses = [
+            lambda s: loads(emptied, strict=False, stats=s),
+            lambda s: _streaming(emptied, s),
+        ] + [
+            lambda s, source=source, verify=verify: list(
+                iter_events_binary(
+                    source(binary), strict=False, stats=s, verify=verify
+                )
+            )
+            for source in (bytes, io.BytesIO)
+            for verify in ("fast", "full")
+        ]
+        for parse in parses:
+            stats = ParseStats()
+            assert parse(stats) == []
+            assert stats == ParseStats(chain_breaks=1, first_divergence=0)
+
+        for format_name, damaged in (
+            ("json", emptied.encode("utf-8")),
+            ("binary", binary),
+        ):
+            root = tmp_path / format_name
+            archive = NetLogArchive(root / "netlogs")
+            with TelemetryStore(str(root / "telemetry.db")) as store:
+                store.record_visit(
+                    "crawl", "example.com", "windows", success=True
+                )
+                store.commit()
+                path = archive.write(
+                    "crawl",
+                    "windows",
+                    "example.com",
+                    [_event(time=float(i), source_id=i + 1) for i in range(10)],
+                    format=format_name,
+                )
+                assert fsck(store, archive).clean
+                path.write_bytes(damaged)
+                report = fsck(store, archive)
+            assert [(f.kind, f.domain) for f in report.findings] == [
+                (FsckKind.ARCHIVE_DAMAGE, "example.com")
+            ]
 
     def test_stripped_integrity_fields_detected_as_gap(self, checksummed):
         # A record whose crc/chain fields were erased parses fine, but

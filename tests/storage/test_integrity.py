@@ -1,6 +1,7 @@
 """Data-integrity subsystem: digests, fsck detection, tiered repair."""
 
 import json
+import shutil
 
 import pytest
 
@@ -177,6 +178,26 @@ class TestFsckDetection:
         assert [f.domain for f in report.findings_of(FsckKind.MISSING_ARCHIVE)] == [
             docs[1].stem
         ]
+
+    @pytest.mark.parametrize(
+        "shape",
+        ['{"events": [1, 2, {"a": 1}]}', "{}", '{"events": 5}', '{"constants": {}}'],
+    )
+    def test_non_netlog_document_is_archive_damage(
+        self, clean_run, population, tmp_path, shape
+    ):
+        # A file that is not a NetLog document must neither abort the
+        # audit nor verify clean: it is damage to exactly that visit.
+        store, archive, _ = clean_run
+        copy = NetLogArchive(shutil.copytree(archive.root, tmp_path / "netlogs"))
+        docs = list(copy.entries(population.name))
+        victim = docs[0]
+        victim.write_text(shape)
+        report = fsck(store, copy)
+        assert [(f.kind, f.os_name, f.domain) for f in report.findings] == [
+            (FsckKind.ARCHIVE_DAMAGE, victim.parent.name, victim.stem)
+        ]
+        assert report.scanned_archives == len(docs)
 
     def test_report_json_is_machine_readable(self, damaged_run, population):
         store, archive, _ = damaged_run
