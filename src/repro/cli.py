@@ -931,7 +931,7 @@ def _cmd_study(
     if campaign.archive_failures:
         print(
             f"warning: {campaign.archive_failures} NetLog document(s) lost "
-            "to disk-full faults — audit with: repro fsck --db ... "
+            "to archive write failures — audit with: repro fsck --db ... "
             f"--netlog-dir {netlog_dir}",
             file=sys.stderr,
         )

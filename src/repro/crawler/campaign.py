@@ -25,6 +25,7 @@ Campaigns are resilient by construction:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,6 +42,7 @@ from ..faults.injector import (
 )
 from ..faults.plan import FaultPlan
 from ..netlog.archive import NetLogArchive
+from ..netlog.placer import ArchiveWriterError
 from ..storage.db import TelemetryStore
 from ..web.population import CrawlPopulation
 from .crawl import Crawler, CrawlRecord, CrawlStats
@@ -199,14 +201,17 @@ class Campaign:
         self.last_executor: SupervisedExecutor | None = None
         # Optional raw-capture archive: every successful visit's NetLog
         # is persisted as a checksummed document (the paper kept every
-        # capture; `repro fsck` repairs database damage from it).
+        # capture; `repro fsck` repairs database damage from it).  A run
+        # places documents from a writer process, and every store commit
+        # first waits for the documents of the rows it publishes.
         self.netlog_archive = netlog_archive
         # Document encoding for archived captures: "json" or "binary"
         # (None defers to the codec default).  Detection and analysis are
         # format-agnostic, so this is purely an operational knob.
         self.netlog_format = netlog_format
-        #: Archive documents lost to exhausted disk-full retries in the
-        #: most recent run() — holes `repro fsck` will flag.
+        #: Archive documents lost in the most recent run() — to exhausted
+        #: disk-full retries, or not placed by the writer — holes
+        #: `repro fsck` will flag.
         self.archive_failures = 0
         # Live-progress hook: called once per visit the moment it
         # completes (from worker threads in supervised mode — must be
@@ -244,8 +249,48 @@ class Campaign:
             self.store.write_fault_hook = (
                 injector.storage_hook if injector is not None else None
             )
+            self.store.before_commit = (
+                self._archive_barrier if self.netlog_archive is not None else None
+            )
         result = CampaignResult(name=population.name, oses=population.oses)
         findings: dict[str, SiteFinding] = {}
+        try:
+            with (
+                self.netlog_archive.deferred()
+                if self.netlog_archive is not None
+                else nullcontext()
+            ):
+                self._run_passes(population, result, findings, injector, resume)
+        except ArchiveWriterError:
+            # The writer was lost with documents in flight, so rows
+            # recorded since the last barrier may have none on disk:
+            # discard them, as a crash would; a resumed run re-crawls them.
+            if self.store is not None:
+                self.store.rollback()
+            raise
+
+        for finding in findings.values():
+            finding.classification = self.classifier.classify_per_os(
+                {
+                    os_name: detection.requests
+                    for os_name, detection in finding.per_os.items()
+                }
+            )
+        result.findings = sorted(
+            findings.values(),
+            key=lambda f: (f.rank if f.rank is not None else 10**9, f.domain),
+        )
+        return result
+
+    def _run_passes(
+        self,
+        population: CrawlPopulation,
+        result: CampaignResult,
+        findings: dict[str, SiteFinding],
+        injector: FaultInjector | None,
+        resume: bool,
+    ) -> None:
+        """Every OS pass, serial or supervised, then the last checkpoint."""
         try:
             with obs.span(
                 "campaign",
@@ -272,24 +317,30 @@ class Campaign:
             # A simulated hard crash or a graceful signal drain: flush
             # what completed so a resumed campaign starts from this exact
             # checkpoint, then propagate.
-            if self.store is not None:
-                self.store.commit()
+            self._checkpoint()
             raise
+        self._checkpoint()
 
-        for finding in findings.values():
-            finding.classification = self.classifier.classify_per_os(
-                {
-                    os_name: detection.requests
-                    for os_name, detection in finding.per_os.items()
-                }
-            )
-        result.findings = sorted(
-            findings.values(),
-            key=lambda f: (f.rank if f.rank is not None else 10**9, f.domain),
-        )
+    def _checkpoint(self) -> None:
+        """Commit the store; without one, still run the archive barrier."""
         if self.store is not None:
             self.store.commit()
-        return result
+        elif self.netlog_archive is not None:
+            self._archive_barrier()
+
+    def _archive_barrier(self) -> None:
+        """Wait until every queued archive document is on disk.
+
+        The store's ``before_commit`` hook during a run, so no row is
+        committed before its document.  Documents the writer could not
+        place count as archive failures: the same end state as exhausted
+        write retries (the row stays, `repro fsck` reports the hole).
+        """
+        assert self.netlog_archive is not None
+        lost = len(self.netlog_archive.flush())
+        if lost:
+            self.archive_failures += lost
+            _ARCHIVE_FAILURES.inc(lost)
 
     # -- one OS pass -------------------------------------------------------
 
@@ -569,11 +620,14 @@ class Campaign:
 
         The record carries a :class:`NetLogBuffer` — events were already
         serialised to record text while the visit ran, so archiving just
-        wraps the buffer into a document and writes it.  Disk-full faults
-        are retried under the same budget as storage writes; on exhaustion
-        the document is *dropped* (the visit row survives) and counted in
+        wraps the buffer into a document and queues it to the run's
+        writer process.  Injected disk-full faults are retried under the
+        same budget as storage writes; on exhaustion the document is
+        *dropped* (the visit row survives) and counted in
         :attr:`archive_failures` — `repro fsck` flags the hole as a
-        missing-archive finding.
+        missing-archive finding.  A real ``OSError`` placing the document
+        happens in the writer, is not retried, and is counted the same
+        way at the next barrier (:meth:`_archive_barrier`).
         """
         assert self.netlog_archive is not None and record.netlog is not None
         injector = self.last_injector

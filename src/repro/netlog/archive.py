@@ -12,10 +12,12 @@ Every document is written with ``checksums=True`` (per-record CRC32s,
 rolling hash chain, integrity trailer — see :mod:`repro.netlog.writer`)
 and carries a ``visitMeta`` header block with the visit's row-level
 metadata, so ``repro fsck`` can rebuild a damaged database row from the
-archive alone.  Writes go through a temp file and an atomic rename; the
-simulated torn writes, bit flips and disk-full failures of the fault
-injector enter through the ``corrupt`` / pre-write hooks instead of by
-racing the real filesystem.
+archive alone.  Writes go through a temp file and an atomic rename
+(:func:`repro.netlog.placer.place`), in process or, inside
+:meth:`NetLogArchive.deferred`, from a writer process; the simulated
+torn writes, bit flips and disk-full failures of the fault injector
+enter through the ``corrupt`` / pre-write hooks instead of by racing the
+real filesystem.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import io
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Union
 
@@ -38,6 +41,7 @@ from .codec import (
 from .events import NetLogEvent
 from .parser import ParseStats
 from .pipeline import EventSink, ListSink, feed
+from .placer import PlacerProcess, place
 from .streaming import iter_events_streaming
 from .writer import (
     NetLogBuffer,
@@ -73,6 +77,7 @@ class NetLogArchive:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._writer: PlacerProcess | None = None
 
     # -- layout ------------------------------------------------------------
 
@@ -188,6 +193,8 @@ class NetLogArchive:
         after a failed write re-uses the same body.  A rewrite in a
         different format removes the visit's stale other-format sibling
         after the atomic rename, preserving one-document-per-visit.
+        Inside :meth:`deferred` the document is queued to the writer
+        process instead of placed before this returns.
         """
         format_name = getattr(buffer, "format", "json")
         codec = get_codec(format_name)
@@ -225,20 +232,64 @@ class NetLogArchive:
         if corrupt is not None:
             document = corrupt(document, f"{crawl}:{os_name}:{domain}")
         path = self.path_for(crawl, os_name, domain, format=format_name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        if isinstance(document, bytes):
-            tmp.write_bytes(document)
+        if isinstance(document, str):
+            document = document.encode("utf-8")
+        if self._writer is not None:
+            self._writer.submit(str(path), document)
         else:
-            tmp.write_text(document)
-        tmp.replace(path)
-        base_name = path.name[: -len(codec.suffix)]
-        for suffix in ARCHIVE_SUFFIXES:
-            if suffix != codec.suffix:
-                sibling = path.with_name(base_name + suffix)
-                if sibling.exists():
-                    sibling.unlink()
+            place(str(path), document, ARCHIVE_SUFFIXES)
         return path
+
+    # -- deferred placement --------------------------------------------------
+
+    @contextmanager
+    def deferred(self) -> Iterator["NetLogArchive"]:
+        """Place documents from a writer process for the block's duration.
+
+        Inside the block :meth:`write_buffered` still builds each document
+        (and applies ``corrupt``) in the caller, then queues it to a
+        writer process (:mod:`repro.netlog.placer`) and returns; the
+        path it returns is where the document *will* be.  :meth:`flush`
+        is the barrier that waits until every queued document is on
+        disk.  A full pipe blocks the caller until the writer catches
+        up, so at most about 64 KB is ever in flight.  Nested blocks
+        share the outer block's writer.
+
+        Documents the writer cannot place (an ``OSError`` there) are not
+        retried; the next :meth:`flush` returns them.  A writer that dies
+        or whose pipe breaks makes the next write or flush raise
+        :class:`~repro.netlog.placer.ArchiveWriterError`, never an
+        ``OSError``.  Leaving the block closes the pipe and waits until
+        the writer has placed everything queued; failures no
+        :meth:`flush` claimed are not reported, and a writer that did
+        not exit cleanly raises :class:`ArchiveWriterError` unless one
+        was already raised.
+        """
+        if self._writer is not None:
+            yield self
+            return
+        writer = self._writer = PlacerProcess(ARCHIVE_SUFFIXES)
+        try:
+            yield self
+        finally:
+            self._writer = None
+            writer.close()
+
+    def flush(self) -> list[Path]:
+        """Wait until every queued document is placed; return the failures.
+
+        The paths of the documents the writer could not place since the
+        previous flush.  Outside :meth:`deferred` every write is already
+        on disk when it returns, so this returns an empty list.
+        """
+        if self._writer is None:
+            return []
+        return [Path(path) for path in self._writer.barrier()]
+
+    @property
+    def writer_pid(self) -> int | None:
+        """The writer process's pid inside :meth:`deferred`, else None."""
+        return self._writer.pid if self._writer is not None else None
 
     # -- read --------------------------------------------------------------
 

@@ -19,6 +19,13 @@ The optional ``write_fault_hook`` is the ``storage.db`` fault seam: it is
 called once per visit write with the row key and may raise (the fault
 injector raises :class:`~repro.faults.StorageWriteError`) to simulate a
 failed write; the campaign layer retries around it.
+
+``before_commit`` is the store's commit barrier: when set, it runs before
+every commit (explicit, ``commit_every`` batch, and the one in
+:meth:`TelemetryStore.close`) and a commit it raises out of does not
+happen.  A campaign with a NetLog archive sets it to wait for its queued
+archive documents, so no visit row is committed before its document is
+on disk.
 """
 
 from __future__ import annotations
@@ -131,6 +138,8 @@ class TelemetryStore:
         # database — fresh, seed-era, or PR-2-era — to the current schema.
         migrate(self._conn)
         self.write_fault_hook = write_fault_hook
+        #: Commit barrier run before every commit (set by the campaign).
+        self.before_commit: Callable[[], None] | None = None
         self.commit_every = commit_every
         self._pending_writes = 0
         self._closed = False
@@ -165,6 +174,8 @@ class TelemetryStore:
     # -- lifecycle ---------------------------------------------------------
 
     def _timed_commit(self, kind: str) -> None:
+        if self.before_commit is not None:
+            self.before_commit()
         if _COMMIT_SECONDS.enabled:
             start = time.perf_counter()
             self._retry(self._conn.commit)
@@ -210,6 +221,12 @@ class TelemetryStore:
     def flush(self) -> None:
         """Commit any batched writes (drain/exit path for ``commit_every``)."""
         self.commit()
+
+    def rollback(self) -> None:
+        """Discard every write since the last commit."""
+        with self._lock:
+            self._conn.rollback()
+            self._pending_writes = 0
 
     def _wrote(self) -> None:
         """Account one write; auto-commit when the batch is full."""

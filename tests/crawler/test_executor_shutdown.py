@@ -3,14 +3,20 @@ real SIGINT, a programmatic drain, or an injected hard crash — resumes
 from its checkpoint store to results fingerprint-identical to an
 uninterrupted run, at several worker counts."""
 
+import os
 import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.crawler.campaign import Campaign, finding_fingerprint
 from repro.crawler.executor import CampaignInterrupted, ExecutorConfig
 from repro.faults import FaultKind, FaultPlan, FaultSpec, InjectedCrashError
 from repro.storage.db import TelemetryStore
+from repro.storage.integrity import campaign_digest
 from repro.web.population import build_top_population
 
 SCALE = 0.002
@@ -117,6 +123,60 @@ def test_sigint_then_resume_matches_uninterrupted(monkeypatch, workers):
     )
     assert _table1(resumed) == _table1(uninterrupted)
     assert _fingerprints(resumed) == _fingerprints(uninterrupted)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+)
+def test_process_group_signal_drains_then_resume_is_clean(tmp_path, signum):
+    """A signal to the whole process group (a terminal's Ctrl-C, a
+    supervisor's killpg) reaches the archive writer too.  The writer
+    keeps placing documents while the study drains through it: exit
+    130, ``--resume`` finishes, and fsck is clean with the serial
+    campaign's digest."""
+    scale = 0.01
+    db = str(tmp_path / "crawl.db")
+    netlogs = tmp_path / "netlogs"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    command = [
+        sys.executable, "-m", "repro.cli", "study",
+        "--population", "top2020", "--scale", str(scale),
+        "--workers", "2", "--db", db, "--netlog-dir", str(netlogs),
+    ]
+    process = subprocess.Popen(
+        command, env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    deadline = time.monotonic() + 60
+    while not (netlogs.is_dir() and any(netlogs.rglob("*.json"))):
+        if process.poll() is not None or time.monotonic() > deadline:
+            process.kill()
+            pytest.fail(f"no archive document appeared: {process.communicate()}")
+        time.sleep(0.01)
+    os.killpg(process.pid, signum)
+    stdout, stderr = process.communicate(timeout=120)
+    assert process.returncode == 130, (stdout, stderr)
+
+    resumed = subprocess.run(
+        command + ["--resume"], env=env,
+        capture_output=True, text=True, timeout=240,
+    )
+    assert resumed.returncode == 0, (resumed.stdout, resumed.stderr)
+
+    with TelemetryStore(str(tmp_path / "serial.db")) as store:
+        Campaign(store=store).run(build_top_population(2020, scale=scale))
+        expected = campaign_digest(store, "top2020")
+    audit = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "fsck",
+            "--db", db, "--netlog-dir", str(netlogs),
+        ],
+        env=env, capture_output=True, text=True, timeout=240,
+    )
+    assert audit.returncode == 0, (audit.stdout, audit.stderr)
+    assert f"campaign digest top2020: {expected}" in audit.stdout
 
 
 @pytest.mark.parametrize("workers", [1, 4])
