@@ -5,8 +5,8 @@ the pipeline and distil the run into a `RunObservation`:
 
 - ``campaign``   — sequential crawl campaign over a small deterministic
   population slice (DNS/network/outage/storage/corruption/crash seams);
-- ``supervised`` — the same campaign under the parallel supervised
-  executor (hang/slow seams need a watchdog to cancel them);
+- ``supervised`` — the same campaign with short executor deadlines
+  (hang/slow seams need the watchdog to cancel them quickly);
 - ``fabric``     — a 2-shard multi-process fabric run merged against a
   serial baseline (shard crash/stall seams);
 - ``serve``      — a loopback self-test daemon under closed-loop load
@@ -123,7 +123,7 @@ def _cli_fsck_exit(db_path: str, netlog_dir: str | None) -> int:
 
 
 class CampaignDriver:
-    """Sequential (or supervised-parallel) campaign over the slice."""
+    """Campaign over the slice, with default or short supervision knobs."""
 
     def __init__(self, ctx: ChaosContext, *, name: str = "campaign", workers: int = 0):
         self.ctx = ctx

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from .analysis import figures, rq1, rq3, tables
 from .core.addresses import Locality
@@ -174,9 +175,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="run visits through the supervised executor with N workers; "
-        "0 is a sentinel meaning the plain sequential loop (the default, "
-        "no executor at all); results are byte-identical at any N",
+        help="compatibility alias kept for old command lines (default 0): "
+        "every study runs its visits one at a time under supervision, so "
+        "any N >= 0 gives the same run; parallelise across processes "
+        "with --shards",
     )
     study.add_argument(
         "--shards",
@@ -200,17 +202,17 @@ def _build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "--visit-deadline",
         type=float,
-        default=25_000.0,
+        default=None,
         metavar="MS",
-        help="simulated per-visit budget in ms (supervised runs; must "
-        "exceed the 20s monitor window)",
+        help="simulated per-visit budget in ms (default: the 20s monitor "
+        "window + 5s; must exceed the window)",
     )
     study.add_argument(
         "--quarantine-after",
         type=int,
         default=3,
         metavar="K",
-        help="dead-letter a visit after K deadline failures (supervised runs)",
+        help="dead-letter a visit after K deadline failures",
     )
     study.add_argument(
         "--wall-deadline",
@@ -218,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5.0,
         metavar="S",
         help="wall-clock seconds before the watchdog cancels a wedged "
-        "visit attempt (supervised runs)",
+        "visit attempt",
     )
     study.add_argument(
         "--metrics-out",
@@ -713,6 +715,54 @@ def _campaign(
     return run_campaign(_population(population_name, scale, webrtc_policy))
 
 
+@contextmanager
+def _study_observability(
+    total_visits: int,
+    metrics_out: str | None,
+    trace_out: str | None,
+    meta: dict,
+) -> Iterator[tuple]:
+    """The progress line and optional metrics/trace outputs of one study.
+
+    Yields ``(progress, sink)``: the :class:`ProgressLine`, and the
+    :class:`PeriodicSink` that keeps the ``metrics_out`` snapshot at most
+    30 s stale during a long campaign (None without ``metrics_out``).  On
+    exit, however the study ends, the progress line finishes, the final
+    snapshot and the trace are written and their paths printed, and
+    observability is switched off again.
+    """
+    from . import obs
+    from .obs.export import PeriodicSink, write_trace
+    from .obs.progress import ProgressLine
+
+    observing = metrics_out is not None or trace_out is not None
+    if observing:
+        obs.enable()
+    progress = ProgressLine(total_visits)
+    sink = (
+        PeriodicSink(metrics_out, obs.registry(), meta=meta)
+        if metrics_out is not None
+        else None
+    )
+    try:
+        yield progress, sink
+    finally:
+        progress.finish()
+        if observing:
+            try:
+                if sink is not None:
+                    sink.close()
+                    print(
+                        f"metrics snapshot written to {metrics_out}",
+                        file=sys.stderr,
+                    )
+                if trace_out is not None:
+                    write_trace(trace_out, obs.tracer())
+                    print(f"trace written to {trace_out}", file=sys.stderr)
+            finally:
+                obs.disable()
+
+
 def _cmd_study(
     population_name: str,
     scale: float,
@@ -727,20 +777,17 @@ def _cmd_study(
     workers: int = 0,
     shards: int | None = None,
     shard_dir: str | None = None,
-    visit_deadline: float = 25_000.0,
+    visit_deadline: float | None = None,
     quarantine_after: int = 3,
     wall_deadline: float = 5.0,
     metrics_out: str | None = None,
     trace_out: str | None = None,
 ) -> int:
-    from . import obs
     from .crawler.campaign import Campaign
     from .crawler.executor import CampaignInterrupted, ExecutorConfig
     from .crawler.retry import RetryPolicy
     from .faults import FaultPlan
     from .netlog.archive import NetLogArchive
-    from .obs.export import PeriodicSink, write_trace
-    from .obs.progress import ProgressLine
     from .storage.db import TelemetryStore
 
     if resume and db is None:
@@ -763,7 +810,8 @@ def _cmd_study(
     if workers < 0:
         print(
             f"error: --workers must be >= 0 (got {workers}; "
-            "0 = plain sequential loop, no executor)",
+            "a compatibility alias: any N >= 0 runs the same one-at-a-time "
+            "supervised loop)",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -816,109 +864,76 @@ def _cmd_study(
             trace_out=trace_out,
         )
 
-    supervised = workers >= 1
-    executor_config: ExecutorConfig | None = None
-    if supervised:
-        try:
-            executor_config = ExecutorConfig(
-                workers=workers,
-                visit_deadline_ms=visit_deadline,
-                quarantine_after=quarantine_after,
-                wall_deadline_s=wall_deadline,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        executor_config = ExecutorConfig(
+            visit_deadline_ms=visit_deadline,
+            quarantine_after=quarantine_after,
+            wall_deadline_s=wall_deadline,
+            handle_signals=True,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     # Progress/diagnostic chatter goes to stderr; stdout carries only
     # the study results so they can be piped or diffed.
     print(f"crawling {population_name} at scale {scale:.1%} ...", file=sys.stderr)
-    observing = metrics_out is not None or trace_out is not None
-    if observing:
-        obs.enable()
     population = _population(population_name, scale, webrtc_policy)
-    progress = ProgressLine(len(population.websites) * len(population.oses))
-    # Long campaigns keep the on-disk snapshot at most 30 s stale; the
-    # final flush at exit writes the complete picture.
-    sink = (
-        PeriodicSink(
-            metrics_out,
-            obs.registry(),
-            meta={
-                "population": population_name,
-                "scale": scale,
-                "workers": workers,
-            },
+    with _study_observability(
+        len(population.websites) * len(population.oses),
+        metrics_out,
+        trace_out,
+        {"population": population_name, "scale": scale, "workers": workers},
+    ) as (progress, sink):
+
+        def _on_visit(record) -> None:
+            progress.update(error=not record.success)
+            if sink is not None:
+                sink.tick()
+
+        store = TelemetryStore(db) if db is not None else None
+        campaign = Campaign(
+            store=store,
+            retry_policy=RetryPolicy(max_attempts=retries),
+            fault_plan=plan,
+            # The gate only matters when outages can happen.
+            check_connectivity=plan is not None,
+            checkpoint_every=100 if store is not None else 0,
+            executor=executor_config,
+            netlog_archive=(
+                NetLogArchive(netlog_dir) if netlog_dir is not None else None
+            ),
+            netlog_format=netlog_format,
+            on_visit=_on_visit,
         )
-        if metrics_out is not None
-        else None
-    )
+        try:
+            result = campaign.run(population, resume=resume)
+        except CampaignInterrupted as exc:
+            print(f"interrupted: {exc}", file=sys.stderr)
+            return EXIT_INTERRUPTED
+        except ValueError as exc:
+            # Configuration rejected at run time (e.g. a visit deadline
+            # below the monitor window).
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            if store is not None:
+                store.commit()
+                store.close()
 
-    def _on_visit(record) -> None:
-        progress.update(error=not record.success)
-        if sink is not None:
-            sink.tick()
-
-    store = (
-        TelemetryStore(db, serialized=supervised, commit_every=100 if supervised else 0)
-        if db is not None
-        else None
+    ex = campaign.last_executor.stats
+    print(
+        f"supervision: {ex.dispatched} visits, "
+        f"{ex.deadline_cancelled} hangs cancelled, "
+        f"{ex.deadline_exceeded} over simulated budget, "
+        f"{ex.quarantined} quarantined"
     )
-    campaign = Campaign(
-        store=store,
-        retry_policy=RetryPolicy(max_attempts=retries),
-        fault_plan=plan,
-        # The gate only matters when outages can happen.
-        check_connectivity=plan is not None,
-        checkpoint_every=100 if store is not None and not supervised else 0,
-        executor=executor_config,
-        netlog_archive=(
-            NetLogArchive(netlog_dir) if netlog_dir is not None else None
-        ),
-        netlog_format=netlog_format,
-        on_visit=_on_visit,
-    )
-    try:
-        result = campaign.run(population, resume=resume)
-    except CampaignInterrupted as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except ValueError as exc:
-        # Configuration rejected at run time (e.g. a visit deadline
-        # below the monitor window, a non-serialized store).
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if store is not None:
-            store.commit()
-            store.close()
-        progress.finish()
-        if observing:
-            try:
-                if sink is not None:
-                    sink.close()
-                    print(f"metrics snapshot written to {metrics_out}",
-                          file=sys.stderr)
-                if trace_out is not None:
-                    write_trace(trace_out, obs.tracer())
-                    print(f"trace written to {trace_out}", file=sys.stderr)
-            finally:
-                obs.disable()
-
-    if supervised and campaign.last_executor is not None:
-        ex = campaign.last_executor.stats
+    if store is not None and ex.quarantined:
         print(
-            f"supervision: {ex.dispatched} visits across {workers} workers, "
-            f"{ex.deadline_cancelled} hangs cancelled, "
-            f"{ex.deadline_exceeded} over simulated budget, "
-            f"{ex.quarantined} quarantined"
+            "quarantined visits are parked in the dead-letter queue — "
+            "inspect with: repro deadletter list --db", db,
+            file=sys.stderr,
         )
-        if store is not None and ex.quarantined:
-            print(
-                "quarantined visits are parked in the dead-letter queue — "
-                "inspect with: repro deadletter list --db", db,
-                file=sys.stderr,
-            )
 
     retried = sum(s.retried for s in result.stats.values())
     recovered = sum(s.recovered for s in result.stats.values())
@@ -987,7 +1002,6 @@ def _run_sharded_study(
     """
     import tempfile
 
-    from . import obs
     from .crawler.executor import CampaignInterrupted
     from .crawler.fabric import (
         CrawlFabric,
@@ -996,13 +1010,8 @@ def _run_sharded_study(
         resolve_shards,
     )
     from .crawler.shard import PopulationSpec
-    from .obs.export import PeriodicSink, write_trace
-    from .obs.progress import ProgressLine
 
     resolved = resolve_shards(shards)
-    observing = metrics_out is not None or trace_out is not None
-    if observing:
-        obs.enable()
     cleanup: tempfile.TemporaryDirectory | None = None
     if shard_dir is None:
         if db is not None:
@@ -1019,71 +1028,49 @@ def _run_sharded_study(
         file=sys.stderr,
     )
     population = _population(population_name, scale, webrtc_policy)
-    progress = ProgressLine(len(population.websites) * len(population.oses))
-    sink = (
-        PeriodicSink(
-            metrics_out,
-            obs.registry(),
-            meta={
-                "population": population_name,
-                "scale": scale,
-                "shards": resolved,
-            },
+    with _study_observability(
+        len(population.websites) * len(population.oses),
+        metrics_out,
+        trace_out,
+        {"population": population_name, "scale": scale, "shards": resolved},
+    ) as (progress, sink):
+        reported = 0
+
+        def _on_progress(total_visits: int) -> None:
+            # The fabric reports cumulative fresh visits across all
+            # shards; feed the delta into the per-visit progress line.
+            nonlocal reported
+            for _ in range(max(total_visits - reported, 0)):
+                progress.update()
+            reported = max(reported, total_visits)
+            if sink is not None:
+                sink.tick()
+
+        fabric = CrawlFabric(
+            spec,
+            FabricConfig(
+                shards=resolved,
+                retries=retries,
+                check_connectivity=plan is not None,
+                netlog_format=netlog_format,
+            ),
+            workdir=shard_dir,
+            rollup_path=db,
+            archive_root=netlog_dir,
+            fault_plan=plan,
+            on_visit=_on_progress,
         )
-        if metrics_out is not None
-        else None
-    )
-    reported = 0
-
-    def _on_progress(total_visits: int) -> None:
-        # The fabric reports cumulative fresh visits across all shards;
-        # feed the delta into the per-visit progress line.
-        nonlocal reported
-        for _ in range(max(total_visits - reported, 0)):
-            progress.update()
-        reported = max(reported, total_visits)
-        if sink is not None:
-            sink.tick()
-
-    fabric = CrawlFabric(
-        spec,
-        FabricConfig(
-            shards=resolved,
-            retries=retries,
-            check_connectivity=plan is not None,
-            netlog_format=netlog_format,
-        ),
-        workdir=shard_dir,
-        rollup_path=db,
-        archive_root=netlog_dir,
-        fault_plan=plan,
-        on_visit=_on_progress,
-    )
-    try:
-        outcome = fabric.run(resume=resume)
-    except CampaignInterrupted as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (FabricError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        progress.finish()
-        if observing:
-            try:
-                if sink is not None:
-                    sink.close()
-                    print(
-                        f"metrics snapshot written to {metrics_out}",
-                        file=sys.stderr,
-                    )
-                if trace_out is not None:
-                    write_trace(trace_out, obs.tracer())
-                    print(f"trace written to {trace_out}", file=sys.stderr)
-            finally:
-                obs.disable()
-        if cleanup is not None:
-            cleanup.cleanup()
+        try:
+            outcome = fabric.run(resume=resume)
+        except CampaignInterrupted as exc:
+            print(f"interrupted: {exc}", file=sys.stderr)
+            return EXIT_INTERRUPTED
+        except (FabricError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            if cleanup is not None:
+                cleanup.cleanup()
 
     report = outcome.report
     restart_note = ""

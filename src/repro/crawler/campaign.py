@@ -16,6 +16,10 @@ Campaigns are resilient by construction:
   failures before they land in a Table 1 bucket;
 * a :class:`~repro.faults.FaultPlan` can be attached to inject scheduled
   faults at every pipeline seam (chaos testing);
+* every visit runs through a
+  :class:`~repro.crawler.executor.SupervisedExecutor`, one at a time: a
+  wedged visit is cancelled on its deadline, and one that keeps failing
+  it is dead-lettered instead of re-killing every resumed run;
 * with a persistent :class:`~repro.storage.db.TelemetryStore`, progress
   is checkpointed per visit, and ``run(..., resume=True)`` skips every
   (crawl, OS, domain) already recorded — a campaign killed mid-run picks
@@ -37,7 +41,6 @@ from ..core.report import SiteFinding
 from ..faults.injector import (
     FaultInjector,
     InjectedCrashError,
-    ScopedFaultInjector,
     StorageWriteError,
 )
 from ..faults.plan import FaultPlan
@@ -191,13 +194,12 @@ class Campaign:
         # Commit the store every N visits so a crash loses at most N rows;
         # 0 commits once per OS pass (plus once at the end).
         self.checkpoint_every = checkpoint_every
-        # Supervised parallel execution: when a config is given, visits
-        # run through a SupervisedExecutor (worker pool + watchdog +
-        # deadlines + dead-letter quarantine) instead of the sequential
-        # loop.  Results are invariant under the worker count.
+        # Every run's visits go through a SupervisedExecutor (watchdog,
+        # deadlines, dead-letter quarantine, drain), one at a time; None
+        # takes the default supervision knobs.
         self.executor_config = executor
-        #: The executor the most recent supervised run() used — exposes
-        #: supervision statistics (cancellations, quarantines, drains).
+        #: The executor the most recent run() used — exposes supervision
+        #: statistics (cancellations, quarantines, drains).
         self.last_executor: SupervisedExecutor | None = None
         # Optional raw-capture archive: every successful visit's NetLog
         # is persisted as a checksummed document (the paper kept every
@@ -213,9 +215,8 @@ class Campaign:
         #: disk-full retries, or not placed by the writer — holes
         #: `repro fsck` will flag.
         self.archive_failures = 0
-        # Live-progress hook: called once per visit the moment it
-        # completes (from worker threads in supervised mode — must be
-        # thread-safe).  Restored rows on a resume are not re-reported.
+        # Live-progress hook: called once per visit, after it is
+        # persisted.  Restored rows on a resume are not re-reported.
         self.on_visit = on_visit
         # Policy era of the population the current run() is crawling;
         # recorded on every stored visit row (NULL = channel off).
@@ -290,29 +291,25 @@ class Campaign:
         injector: FaultInjector | None,
         resume: bool,
     ) -> None:
-        """Every OS pass, serial or supervised, then the last checkpoint."""
+        """Every OS pass under one supervisor, then the last checkpoint."""
+        executor = SupervisedExecutor(self.executor_config)
+        self.last_executor = executor
         try:
             with obs.span(
                 "campaign",
                 category="campaign",
                 args={"population": population.name, "resume": resume},
-            ):
-                if self.executor_config is not None:
-                    self._run_supervised(
-                        population, result, findings, injector, resume
-                    )
-                else:
-                    for os_name in population.oses:
-                        with obs.span(
-                            "os-pass", category="campaign",
-                            args={"os": os_name},
-                        ):
-                            self._run_os(
-                                population, os_name, result, findings,
-                                injector, resume,
-                            )
-                        if self.store is not None:
-                            self.store.commit()
+            ), executor.supervise():
+                for os_name in population.oses:
+                    with obs.span(
+                        "os-pass", category="campaign", args={"os": os_name}
+                    ):
+                        self._run_os(
+                            population, os_name, result, findings,
+                            injector, resume, executor,
+                        )
+                    if self.store is not None:
+                        self.store.commit()
         except (InjectedCrashError, CampaignInterrupted):
             # A simulated hard crash or a graceful signal drain: flush
             # what completed so a resumed campaign starts from this exact
@@ -352,21 +349,12 @@ class Campaign:
         findings: dict[str, SiteFinding],
         injector: FaultInjector | None,
         resume: bool,
+        executor: SupervisedExecutor,
     ) -> None:
         environment = (
             OSEnvironment.for_os(os_name, monitor_window_ms=self.monitor_window_ms)
             if self.monitor_window_ms is not None
             else OSEnvironment.for_os(os_name)
-        )
-        crawler = Crawler(
-            environment,
-            detector=self.detector,
-            check_connectivity=self.check_connectivity,
-            include_internal=self.include_internal,
-            retry_policy=self.retry_policy,
-            injector=injector,
-            capture_netlog=self.netlog_archive is not None,
-            netlog_format=self.netlog_format,
         )
         stats = CrawlStats(os_name=os_name, crawl=population.name)
         result.stats[os_name] = stats
@@ -377,7 +365,22 @@ class Campaign:
             if done:
                 websites = [w for w in websites if w.domain not in done]
 
-        for index, record in enumerate(crawler.crawl(websites), start=1):
+        def crawler_factory(pass_injector: FaultInjector | None) -> Crawler:
+            return Crawler(
+                environment,
+                detector=self.detector,
+                check_connectivity=self.check_connectivity,
+                include_internal=self.include_internal,
+                retry_policy=self.retry_policy,
+                injector=pass_injector,
+                capture_netlog=self.netlog_archive is not None,
+                netlog_format=self.netlog_format,
+            )
+
+        for outcome in executor.run_pass(
+            os_name, websites, crawler_factory=crawler_factory, injector=injector
+        ):
+            record = outcome.record
             if injector is not None:
                 # The crash seam fires before the record is accounted or
                 # persisted: a crashed visit leaves no trace, exactly like
@@ -385,133 +388,18 @@ class Campaign:
                 injector.on_visit()
             stats.record(record)
             self._persist(population.name, os_name, record)
+            if outcome.quarantined:
+                self._dead_letter(
+                    population.name, os_name, record, outcome.deadline_failures
+                )
             self._fold(record, os_name, findings, population.name)
             self._observe_visit(record)
             if (
                 self.checkpoint_every
                 and self.store is not None
-                and index % self.checkpoint_every == 0
+                and outcome.task.index % self.checkpoint_every == 0
             ):
                 self.store.commit()
-
-    # -- supervised (parallel) execution -----------------------------------
-
-    def _run_supervised(
-        self,
-        population: CrawlPopulation,
-        result: CampaignResult,
-        findings: dict[str, SiteFinding],
-        injector: FaultInjector | None,
-        resume: bool,
-    ) -> None:
-        """Run every OS pass through the supervised worker-pool executor.
-
-        The executor merges each pass's outcomes back in submission
-        (domain) order before they reach stats/finding folding, so the
-        result is byte-identical to a single-worker run regardless of
-        the configured worker count.
-        """
-        assert self.executor_config is not None
-        if (
-            self.store is not None
-            and self.executor_config.workers > 1
-            and not self.store.serialized
-        ):
-            raise ValueError(
-                "workers > 1 requires a TelemetryStore opened with "
-                "serialized=True (worker threads share the writer)"
-            )
-        executor = SupervisedExecutor(self.executor_config)
-        self.last_executor = executor
-        index_base = 0
-        with executor.supervise():
-            for os_name in population.oses:
-                with obs.span(
-                    "os-pass", category="campaign", args={"os": os_name}
-                ):
-                    index_base += self._run_os_supervised(
-                        population, os_name, result, findings, injector,
-                        resume, executor, index_base,
-                    )
-                if self.store is not None:
-                    self.store.commit()
-
-    def _run_os_supervised(
-        self,
-        population: CrawlPopulation,
-        os_name: str,
-        result: CampaignResult,
-        findings: dict[str, SiteFinding],
-        injector: FaultInjector | None,
-        resume: bool,
-        executor: SupervisedExecutor,
-        index_base: int,
-    ) -> int:
-        """One supervised OS pass; returns how many visits it scheduled."""
-        environment = (
-            OSEnvironment.for_os(os_name, monitor_window_ms=self.monitor_window_ms)
-            if self.monitor_window_ms is not None
-            else OSEnvironment.for_os(os_name)
-        )
-        stats = CrawlStats(os_name=os_name, crawl=population.name)
-        result.stats[os_name] = stats
-
-        websites = population.websites
-        if resume:
-            done = self._restore_os(population.name, os_name, stats, findings)
-            if done:
-                websites = [w for w in websites if w.domain not in done]
-
-        def crawler_factory(scoped: ScopedFaultInjector | None) -> Crawler:
-            # Same construction as the sequential pass; the fault seams
-            # thread through the worker's per-visit-scoped injector view
-            # (its hook surface matches the base injector's).
-            return Crawler(
-                environment,
-                detector=self.detector,
-                check_connectivity=self.check_connectivity,
-                include_internal=self.include_internal,
-                retry_policy=self.retry_policy,
-                injector=scoped,
-                capture_netlog=self.netlog_archive is not None,
-                netlog_format=self.netlog_format,
-            )
-
-        def persist(record_os: str, record: CrawlRecord) -> None:
-            self._persist(population.name, record_os, record)
-
-        def dead_letter(
-            record_os: str, record: CrawlRecord, failures: int
-        ) -> None:
-            if self.store is None:
-                return
-            self.store.record_dead_letter(
-                population.name,
-                record.domain,
-                record_os,
-                error=int(record.error),
-                failures=failures,
-                reason="visit deadline exceeded (hang or pathological page)",
-            )
-
-        outcomes = executor.run_pass(
-            os_name,
-            websites,
-            crawler_factory=crawler_factory,
-            injector=injector,
-            index_base=index_base,
-            persist=(
-                persist
-                if self.store is not None or self.netlog_archive is not None
-                else None
-            ),
-            dead_letter=dead_letter if self.store is not None else None,
-            on_outcome=lambda outcome: self._observe_visit(outcome.record),
-        )
-        for outcome in outcomes:
-            stats.record(outcome.record)
-            self._fold(outcome.record, os_name, findings, population.name)
-        return len(websites)
 
     def _restore_os(
         self,
@@ -578,6 +466,20 @@ class Campaign:
                 _LOCAL_ACTIVE.inc(labels=(record.os_name,))
         if self.on_visit is not None:
             self.on_visit(record)
+
+    def _dead_letter(
+        self, crawl: str, os_name: str, record: CrawlRecord, failures: int
+    ) -> None:
+        if self.store is None:
+            return
+        self.store.record_dead_letter(
+            crawl,
+            record.domain,
+            os_name,
+            error=int(record.error),
+            failures=failures,
+            reason="visit deadline exceeded (hang or pathological page)",
+        )
 
     def _persist(self, crawl: str, os_name: str, record: CrawlRecord) -> None:
         if self.netlog_archive is not None and record.netlog is not None:

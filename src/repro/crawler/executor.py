@@ -1,40 +1,38 @@
-"""Supervised, deterministic worker-pool executor for campaign visits.
+"""Supervised execution of campaign visits: one inline loop.
 
-The sequential campaign loop (one visit at a time, no supervision) has
-two failure modes the paper's own crawls hit: a single wedged visit
-stalls the whole run forever, and a deterministically-failing visit
-re-kills every resumed run.  This executor fixes both while keeping the
-property the whole analysis stack depends on — **results are invariant
-under the worker count**:
+Every campaign visit runs through :class:`SupervisedExecutor`, one at a
+time on the calling thread and in submission order.  The paper bounds a
+visit by its 20 s NetLog window, and this reproduction runs that window
+on a simulated clock, so threads would change nothing it measures;
+process parallelism is the sharded fabric's job.  What the executor adds
+to a plain loop is supervision against the two failure modes the paper's
+own crawls hit — a wedged visit that stalls the run forever, and a
+deterministically failing visit that re-kills every resumed run:
 
-* Visits are assigned to ``workers`` round-robin in submission order and
-  merged back in that order, so Table 1/Table 5 outputs are byte-identical
-  at ``--workers 1`` and ``--workers 8``.
 * Every visit attempt runs under a dual deadline: a *simulated* budget
-  (``visit_deadline_ms``, mirroring the paper's 20 s NetLog window — a
+  (``visit_deadline_ms``, by default the monitor window plus 5 s — a
   ``slow`` fault that stalls past it is cancelled deterministically) and
   a *wall-clock* guard enforced by the :class:`~.watchdog.Watchdog`
-  (a ``hang`` fault — or a real wedge — is cancelled at most one poll
-  interval past the deadline).
+  thread (a ``hang`` fault is cancelled at most one poll interval past
+  the deadline).  Crawl code never reads the cancel token, so a real
+  visit that overruns the wall deadline runs to completion.
 * Cancelled attempts are re-tried up to ``quarantine_after`` times; a
-  visit that keeps failing is parked exactly once in the store's
-  persistent dead-letter queue and recorded as an ``ERR_VISIT_DEADLINE``
-  Table 1 failure, so resumed campaigns never re-poison themselves.
-* SIGINT/SIGTERM request a graceful drain: dispatch stops, in-flight
-  visits finish (or are cancelled by the watchdog), checkpoints flush,
-  and :class:`CampaignInterrupted` propagates — a later ``--resume`` is
+  visit that keeps failing comes out as an ``ERR_VISIT_DEADLINE`` Table 1
+  failure marked for the dead-letter queue, so resumed campaigns never
+  re-poison themselves.
+* With ``handle_signals``, SIGINT/SIGTERM request a graceful drain: the
+  visit in progress finishes, the next one never starts, and
+  :class:`CampaignInterrupted` propagates — a later ``--resume`` is
   fingerprint-identical to an uninterrupted run.
 
-Determinism under concurrency comes from two rules: all per-visit fault
-state is keyed by the visit itself (see
-:meth:`~repro.faults.injector.FaultInjector.scoped`), and all
-counter-triggered faults fire on the deterministic *submission index*
-rather than any live execution counter.
+The executor uses the campaign's own fault injector, so every fault
+fires where a bare serial loop fires it.  Only the kinds the executor
+drives itself (``hang``, ``slow``) keep their attempt counters here,
+keyed by (kind, OS, domain).
 """
 
 from __future__ import annotations
 
-import queue
 import signal
 import threading
 import time
@@ -44,33 +42,19 @@ from typing import Callable, Iterator, Sequence
 
 from .. import obs
 from ..browser.errors import NetError
-from ..faults.injector import FaultInjector, InjectedCrashError, ScopedFaultInjector
-from ..faults.plan import FaultKind
+from ..faults.injector import FaultInjector
+from ..faults.plan import FaultKind, FaultPlan
 from ..web.website import Website
 from .crawl import Crawler, CrawlRecord
-from .watchdog import CancelToken, VisitCancelled, VisitGuard, Watchdog
+from .watchdog import CancelToken, VisitCancelled, Watchdog
 
-#: Queue sentinel telling a worker thread its pass is over.
-_STOP = object()
+#: How far past the monitor window the default simulated budget reaches
+#: (25 s at the paper's 20 s window).
+_BUDGET_HEADROOM_MS = 5_000.0
 
 _DISPATCHED = obs.counter(
     "repro_executor_dispatched_total",
-    "visits handed to the supervised worker pool",
-)
-_QUEUE_DEPTH = obs.gauge(
-    "repro_executor_queue_depth",
-    "visits enqueued to workers but not yet started",
-)
-_WORKER_BUSY = obs.counter(
-    "repro_executor_worker_busy_seconds_total",
-    "wall-clock seconds each worker spent executing visits "
-    "(utilisation = busy seconds / pass wall time)",
-    ("worker",),
-)
-_WORKER_VISITS = obs.counter(
-    "repro_executor_worker_visits_total",
-    "visits completed per worker",
-    ("worker",),
+    "visits started by the supervised executor",
 )
 _DEADLINE_CANCELLED = obs.counter(
     "repro_executor_deadline_cancelled_total",
@@ -95,30 +79,33 @@ class CampaignInterrupted(RuntimeError):
 
 
 class _SimulatedDeadlineExceeded(Exception):
-    """Internal: a visit's simulated cost overran ``visit_deadline_ms``."""
+    """Internal: a visit's simulated cost overran its budget."""
 
 
 @dataclass(frozen=True, slots=True)
 class ExecutorConfig:
-    """Tuning knobs for one supervised campaign run."""
+    """Supervision knobs for one campaign run."""
 
-    #: Parallel visit workers (each owns a browser instance).
+    #: Compatibility alias, validated and otherwise unused: visits always
+    #: run one at a time (``--shards`` parallelises across processes).
     workers: int = 1
-    #: Simulated per-visit budget; must exceed the monitor window.
-    visit_deadline_ms: float = 25_000.0
+    #: Simulated per-visit budget; must exceed the monitor window.  None
+    #: derives it from the window: the window plus 5 s.
+    visit_deadline_ms: float | None = None
     #: Wall-clock guard per visit attempt — the hang rescue.
     wall_deadline_s: float = 5.0
     #: Watchdog scan period; bounds cancellation latency.
     watchdog_poll_s: float = 0.05
     #: Deadline failures before a visit is dead-lettered (K).
     quarantine_after: int = 3
-    #: Install SIGINT/SIGTERM drain handlers while running.
-    handle_signals: bool = True
+    #: Install SIGINT/SIGTERM drain handlers while running.  The CLI
+    #: does; library callers own their process's signal dispositions.
+    handle_signals: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.visit_deadline_ms <= 0:
+        if self.visit_deadline_ms is not None and self.visit_deadline_ms <= 0:
             raise ValueError("visit deadline must be positive")
         if self.wall_deadline_s <= 0:
             raise ValueError("wall deadline must be positive")
@@ -131,7 +118,6 @@ class ExecutorStats:
     """What supervision actually did during one campaign run."""
 
     dispatched: int = 0
-    completed: int = 0
     #: Attempts cancelled by the wall-clock watchdog (hangs rescued).
     deadline_cancelled: int = 0
     #: Attempts cancelled on the simulated budget (slow visits).
@@ -142,8 +128,6 @@ class ExecutorStats:
     reattempts: int = 0
     #: Visits parked in the dead-letter queue.
     quarantined: int = 0
-    #: Workers written off after ignoring cancellation (true wedges).
-    abandoned_workers: int = 0
     #: A signal drained this run.
     drained: bool = False
     #: Worst wall-clock overshoot past the deadline among cancelled
@@ -153,9 +137,9 @@ class ExecutorStats:
 
 @dataclass(slots=True)
 class VisitTask:
-    """One scheduled visit: (OS, website) at a deterministic index."""
+    """One scheduled visit: (OS, website) at its place in the pass."""
 
-    index: int  # 1-based submission index, global across OS passes
+    index: int  # 1-based submission index within the OS pass
     os_name: str
     website: Website
 
@@ -166,83 +150,28 @@ class VisitOutcome:
 
     task: VisitTask
     record: CrawlRecord
-    worker_id: int
     #: Deadline failures the supervisor absorbed before this outcome.
     deadline_failures: int = 0
+    #: The visit failed its deadline K times: dead-letter it.
     quarantined: bool = False
 
 
-@dataclass(slots=True)
-class _WorkerError:
-    """A worker thread died on an unexpected exception."""
-
-    task: VisitTask
-    error: BaseException
-
-
-class _Worker:
-    """One executor worker: a thread, a browser, and scoped fault state."""
-
-    __slots__ = (
-        "id", "queue", "crawler", "scoped", "fault_attempts",
-        "current_task", "poisoned", "thread",
-    )
-
-    def __init__(
-        self,
-        worker_id: int,
-        task_queue: "queue.Queue",
-        crawler: Crawler,
-        scoped: ScopedFaultInjector | None,
-    ) -> None:
-        self.id = worker_id
-        self.queue = task_queue
-        self.crawler = crawler
-        self.scoped = scoped
-        #: Worker-local attempt counters for executor-driven fault kinds
-        #: (hang/slow) — local because a visit's re-attempts always run
-        #: on the worker that owns it, which keeps them order-free.
-        self.fault_attempts: dict[tuple[FaultKind, str, str], int] = {}
-        self.current_task: VisitTask | None = None
-        self.poisoned = False
-        self.thread: threading.Thread | None = None
-
-    def bump_fault_attempt(self, kind: FaultKind, os_name: str, domain: str) -> int:
-        key = (kind, os_name, domain)
-        count = self.fault_attempts.get(key, 0) + 1
-        self.fault_attempts[key] = count
-        return count
-
-
 class SupervisedExecutor:
-    """Runs campaign visits through a supervised worker pool."""
+    """Runs campaign visits one at a time under deadlines and quarantine."""
 
     def __init__(self, config: ExecutorConfig | None = None) -> None:
         self.config = config if config is not None else ExecutorConfig()
         self.stats = ExecutorStats()
-        self.watchdog = Watchdog(
-            poll_interval_s=self.config.watchdog_poll_s,
-            on_abandon=self._on_abandon,
-        )
-        self._stats_lock = threading.Lock()
+        self.watchdog = Watchdog(poll_interval_s=self.config.watchdog_poll_s)
         self._drain = threading.Event()
-        self._workers_by_id: dict[int, _Worker] = {}
-        self._next_worker_id = 0
-        self._results: "queue.Queue" = queue.Queue()
-        # Per-pass wiring, set by run_pass (passes never overlap).
-        self._crawler_factory: Callable[
-            [ScopedFaultInjector | None], Crawler
-        ] | None = None
-        self._injector: FaultInjector | None = None
-        self._persist: Callable[[str, CrawlRecord], None] | None = None
-        self._dead_letter: Callable[[str, CrawlRecord, int], None] | None = None
-        self._on_outcome: Callable[[VisitOutcome], None] | None = None
+        #: Attempt counters of the executor-driven fault kinds.
+        self._fault_attempts: dict[tuple[FaultKind, str, str], int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     @contextmanager
     def supervise(self) -> Iterator["SupervisedExecutor"]:
-        """Start the watchdog and signal handlers for a campaign run."""
+        """Start the watchdog (and signal handlers) for a campaign run."""
         self._drain.clear()
         self.watchdog.start()
         restore = self._install_signal_handlers()
@@ -289,272 +218,119 @@ class SupervisedExecutor:
         os_name: str,
         websites: Sequence[Website],
         *,
-        crawler_factory: Callable[[ScopedFaultInjector | None], Crawler],
+        crawler_factory: Callable[[FaultInjector | None], Crawler],
         injector: FaultInjector | None = None,
-        index_base: int = 0,
-        persist: Callable[[str, CrawlRecord], None] | None = None,
-        dead_letter: Callable[[str, CrawlRecord, int], None] | None = None,
-        on_outcome: Callable[[VisitOutcome], None] | None = None,
-    ) -> list[VisitOutcome]:
-        """Crawl one OS pass through the pool; outcomes in submission order.
+    ) -> Iterator[VisitOutcome]:
+        """Crawl one OS pass, yielding each outcome in submission order.
 
-        ``index_base`` is the number of visits scheduled by earlier
-        passes — it keeps the global submission index (which
-        counter-triggered faults key on) deterministic across passes.
+        ``crawler_factory`` builds the pass's crawler around ``injector``
+        (the campaign's own, or None).  A visit runs when its outcome is
+        asked for, so a caller that accounts each outcome before taking
+        the next has accounted every finished visit when the pass stops.
 
-        ``on_outcome`` is a live-progress hook called from worker
-        threads the moment each visit is delivered (out of submission
-        order — merge ordering is unaffected); it must be thread-safe
-        and must not raise.
-
-        ``persist`` runs on the worker thread that produced the record,
-        so a capturing campaign's streamed NetLog buffer
-        (:attr:`CrawlRecord.netlog`) is archived — and released — before
-        the worker takes its next visit: at most ``workers`` serialised
-        captures are ever held at once.
-
-        Raises :class:`InjectedCrashError` when the plan schedules a
-        crash inside this pass and :class:`CampaignInterrupted` when a
-        signal drained it; in both cases every collected outcome has
-        already been persisted.
+        Raises :class:`CampaignInterrupted` in place of the next visit
+        once a drain was requested.
         """
-        self._crawler_factory = crawler_factory
-        self._injector = injector
-        self._persist = persist
-        self._dead_letter = dead_letter
-        self._on_outcome = on_outcome
-        self._results = queue.Queue()
-        self._check_deadline_budget(crawler_factory(None))
-
-        workers = [self._spawn_worker() for _ in range(self.config.workers)]
-        queues = [worker.queue for worker in workers]
-
-        crash: InjectedCrashError | None = None
-        dispatched = 0
-        try:
-            for offset, website in enumerate(websites):
-                if self._drain.is_set():
-                    self.stats.drained = True
-                    break
-                index = index_base + offset + 1
-                crash = self._scheduled_crash(index)
-                if crash is not None:
-                    break
-                task = VisitTask(index=index, os_name=os_name, website=website)
-                queues[offset % len(queues)].put(task)
-                dispatched += 1
-                _DISPATCHED.inc()
-                _QUEUE_DEPTH.inc()
-                with self._stats_lock:
-                    self.stats.dispatched += 1
-        finally:
-            for task_queue in queues:
-                task_queue.put(_STOP)
-
-        outcomes, failure = self._collect(dispatched)
-        self._join_workers()
-        if failure is not None:
-            raise failure.error
-        if crash is not None:
-            raise crash
-        if self.stats.drained:
-            raise CampaignInterrupted(
-                f"campaign drained after signal: {len(outcomes)} in-flight "
-                "visits completed and checkpointed; resume with --resume"
+        crawler = crawler_factory(injector)
+        budget_ms = self._deadline_budget(crawler)
+        for index, website in enumerate(websites, start=1):
+            if self._drain.is_set():
+                self.stats.drained = True
+                raise CampaignInterrupted(
+                    "campaign drained after signal: every finished visit is "
+                    "checkpointed; resume with --resume"
+                )
+            self.stats.dispatched += 1
+            _DISPATCHED.inc()
+            yield self._execute(
+                crawler, VisitTask(index, os_name, website), injector, budget_ms
             )
-        return [outcomes[index] for index in sorted(outcomes)]
 
-    def _collect(
-        self, dispatched: int
-    ) -> tuple[dict[int, VisitOutcome], _WorkerError | None]:
-        outcomes: dict[int, VisitOutcome] = {}
-        failure: _WorkerError | None = None
-        while len(outcomes) < dispatched:
-            item = self._results.get()
-            if isinstance(item, _WorkerError):
-                if failure is None:
-                    failure = item
-                # The task produced no outcome; stop waiting for it.
-                dispatched -= 1
-                continue
-            if item.task.index in outcomes:
-                continue  # stale duplicate from an abandoned worker
-            outcomes[item.task.index] = item
-            with self._stats_lock:
-                self.stats.completed += 1
-        return outcomes, failure
-
-    def _spawn_worker(self) -> _Worker:
-        worker_queue: "queue.Queue" = queue.Queue(maxsize=2)
-        return self._spawn_worker_on(worker_queue)
-
-    def _spawn_worker_on(self, worker_queue: "queue.Queue") -> _Worker:
-        assert self._crawler_factory is not None
-        scoped = self._injector.scoped() if self._injector is not None else None
-        with self._stats_lock:
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-        worker = _Worker(
-            worker_id, worker_queue, self._crawler_factory(scoped), scoped
-        )
-        with self._stats_lock:
-            self._workers_by_id[worker.id] = worker
-        worker.thread = threading.Thread(
-            target=self._worker_loop,
-            args=(worker,),
-            name=f"crawl-worker-{worker.id}",
-            daemon=True,
-        )
-        worker.thread.start()
-        return worker
-
-    def _join_workers(self) -> None:
-        with self._stats_lock:
-            workers = list(self._workers_by_id.values())
-            self._workers_by_id.clear()
-        for worker in workers:
-            if worker.poisoned:
-                continue  # wedged thread; written off, daemonic
-            if worker.thread is not None:
-                worker.thread.join(timeout=10.0)
-
-    def _check_deadline_budget(self, crawler: Crawler) -> None:
+    def _deadline_budget(self, crawler: Crawler) -> float:
         window = crawler.environment.monitor_window_ms
-        if self.config.visit_deadline_ms <= window:
+        budget = self.config.visit_deadline_ms
+        if budget is None:
+            return window + _BUDGET_HEADROOM_MS
+        if budget <= window:
             raise ValueError(
-                f"visit deadline ({self.config.visit_deadline_ms:.0f} ms) must "
+                f"visit deadline ({budget:.0f} ms) must "
                 f"exceed the monitor window ({window:.0f} ms)"
             )
+        return budget
 
-    def _scheduled_crash(self, index: int) -> InjectedCrashError | None:
-        if self._injector is None:
-            return None
-        for spec in self._injector.plan.specs(FaultKind.CRASH):
-            if spec.at_count is not None and spec.at_count == index:
-                self._injector.record_injection(FaultKind.CRASH)
-                return InjectedCrashError(f"injected crash at visit {index}")
-        return None
-
-    # -- worker side -------------------------------------------------------
-
-    def _worker_loop(self, worker: _Worker) -> None:
-        worker_label = (str(worker.id),)
-        while True:
-            if worker.poisoned:
-                return
-            task = worker.queue.get()
-            if task is _STOP:
-                return
-            _QUEUE_DEPTH.dec()
-            busy_start = time.perf_counter() if _WORKER_BUSY.enabled else 0.0
-            try:
-                outcome = self._execute(worker, task)
-            except BaseException as exc:  # storage failures etc.
-                # Fail this task, then drain the rest of the queue as
-                # failures too, so the collector never waits on a task a
-                # dead worker will not run.
-                self._results.put(_WorkerError(task=task, error=exc))
-                while True:
-                    leftover = worker.queue.get()
-                    if leftover is _STOP:
-                        return
-                    _QUEUE_DEPTH.dec()
-                    self._results.put(_WorkerError(task=leftover, error=exc))
-            if _WORKER_BUSY.enabled:
-                _WORKER_BUSY.inc(
-                    time.perf_counter() - busy_start, labels=worker_label
-                )
-                _WORKER_VISITS.inc(labels=worker_label)
-            if outcome is not None:
-                self._results.put(outcome)
-
-    def _execute(self, worker: _Worker, task: VisitTask) -> VisitOutcome | None:
+    def _execute(
+        self,
+        crawler: Crawler,
+        task: VisitTask,
+        injector: FaultInjector | None,
+        budget_ms: float,
+    ) -> VisitOutcome:
         config = self.config
-        website = task.website
-        context = f"{task.os_name}:{website.domain}"
-        deadline_failures = 0
-        record: CrawlRecord | None = None
-        quarantined = False
+        stats = self.stats
+        context = f"{task.os_name}:{task.website.domain}"
+        failures = 0
         while True:
-            if worker.poisoned:
-                return None  # written off mid-task by the watchdog
-            worker.current_task = task
             token = CancelToken()
             started = time.monotonic()
-            failed_deadline = False
-            with self.watchdog.watch(
-                worker.id, context, config.wall_deadline_s, token
-            ):
-                try:
-                    record = self._attempt(worker, task, token)
-                except VisitCancelled:
-                    failed_deadline = True
-                    overshoot = (
-                        time.monotonic() - started - config.wall_deadline_s
-                    )
-                    _DEADLINE_CANCELLED.inc()
-                    with self._stats_lock:
-                        self.stats.deadline_cancelled += 1
-                        if overshoot > self.stats.max_overshoot_s:
-                            self.stats.max_overshoot_s = overshoot
-                except _SimulatedDeadlineExceeded:
-                    failed_deadline = True
-                    _DEADLINE_EXCEEDED.inc()
-                    with self._stats_lock:
-                        self.stats.deadline_exceeded += 1
-            if not failed_deadline:
+            try:
+                with self.watchdog.watch(0, context, config.wall_deadline_s, token):
+                    record = self._attempt(crawler, task, injector, token, budget_ms)
                 break
-            deadline_failures += 1
-            if deadline_failures >= config.quarantine_after:
-                record = self._deadline_record(task, deadline_failures)
-                quarantined = True
-                break
+            except VisitCancelled:
+                overshoot = time.monotonic() - started - config.wall_deadline_s
+                stats.max_overshoot_s = max(stats.max_overshoot_s, overshoot)
+                stats.deadline_cancelled += 1
+                _DEADLINE_CANCELLED.inc()
+            except _SimulatedDeadlineExceeded:
+                stats.deadline_exceeded += 1
+                _DEADLINE_EXCEEDED.inc()
+            failures += 1
+            if failures >= config.quarantine_after:
+                stats.quarantined += 1
+                _QUARANTINED.inc()
+                record = self._deadline_record(task, failures)
+                return VisitOutcome(task, record, failures, quarantined=True)
+            stats.reattempts += 1
             _REATTEMPTS.inc()
-            with self._stats_lock:
-                self.stats.reattempts += 1
-
-        assert record is not None
-        if deadline_failures and not quarantined:
-            # Fold the supervisor's absorbed attempts into the record so
-            # Table 1 attempt accounting stays honest.
-            record.attempts += deadline_failures
-        worker.current_task = None
-        return self._deliver(worker, task, record, deadline_failures, quarantined)
+        # Fold the supervisor's absorbed attempts into the record so
+        # Table 1 attempt accounting stays honest.
+        record.attempts += failures
+        return VisitOutcome(task, record, failures)
 
     def _attempt(
-        self, worker: _Worker, task: VisitTask, token: CancelToken
+        self,
+        crawler: Crawler,
+        task: VisitTask,
+        injector: FaultInjector | None,
+        token: CancelToken,
+        budget_ms: float,
     ) -> CrawlRecord:
-        """One supervised visit attempt on ``worker``'s browser."""
+        """One visit attempt, with the executor-driven hang and slow faults."""
         website = task.website
-        scoped = worker.scoped
-        if scoped is not None:
-            scoped.begin_visit(f"{task.os_name}:{website.domain}", task.index)
-            plan = scoped.plan
-            hang_depth = plan.fail_depth(FaultKind.HANG, website.domain)
-            if hang_depth:
-                count = worker.bump_fault_attempt(
-                    FaultKind.HANG, task.os_name, website.domain
-                )
-                if count <= hang_depth:
-                    scoped.base.record_injection(FaultKind.HANG)
-                    self._wedge(token)  # raises VisitCancelled
-        record = worker.crawler.crawl_site(website)
-        if scoped is not None:
-            stall_ms = self._slow_stall_ms(worker, task)
-            if stall_ms:
-                scoped.base.record_injection(FaultKind.SLOW)
-                window = worker.crawler.environment.monitor_window_ms
-                if window + stall_ms > self.config.visit_deadline_ms:
-                    raise _SimulatedDeadlineExceeded()
-                worker.crawler.clock.advance(stall_ms)
-                with self._stats_lock:
-                    self.stats.slow_ridden_out += 1
+        if injector is None:
+            return crawler.crawl_site(website)
+        plan = injector.plan
+        hang_depth = plan.fail_depth(FaultKind.HANG, website.domain)
+        if hang_depth and self._next_attempt(FaultKind.HANG, task) <= hang_depth:
+            injector.record_injection(FaultKind.HANG)
+            self._wedge(token)  # raises VisitCancelled
+        record = crawler.crawl_site(website)
+        stall_ms = self._slow_stall_ms(plan, task)
+        if stall_ms:
+            injector.record_injection(FaultKind.SLOW)
+            if crawler.environment.monitor_window_ms + stall_ms > budget_ms:
+                raise _SimulatedDeadlineExceeded()
+            crawler.clock.advance(stall_ms)
+            self.stats.slow_ridden_out += 1
         return record
 
-    def _slow_stall_ms(self, worker: _Worker, task: VisitTask) -> float:
-        plan = worker.scoped.plan if worker.scoped is not None else None
-        if plan is None:
-            return 0.0
+    def _next_attempt(self, kind: FaultKind, task: VisitTask) -> int:
+        key = (kind, task.os_name, task.website.domain)
+        count = self._fault_attempts.get(key, 0) + 1
+        self._fault_attempts[key] = count
+        return count
+
+    def _slow_stall_ms(self, plan: FaultPlan, task: VisitTask) -> float:
         domain = task.website.domain
         specs = [
             spec
@@ -563,7 +339,7 @@ class SupervisedExecutor:
         ]
         if not specs:
             return 0.0
-        count = worker.bump_fault_attempt(FaultKind.SLOW, task.os_name, domain)
+        count = self._next_attempt(FaultKind.SLOW, task)
         return float(
             max(
                 (spec.duration for spec in specs if count <= spec.times),
@@ -582,9 +358,7 @@ class SupervisedExecutor:
             pass
         raise VisitCancelled("hang fault cancelled by watchdog")
 
-    def _deadline_record(
-        self, task: VisitTask, failures: int
-    ) -> CrawlRecord:
+    def _deadline_record(self, task: VisitTask, failures: int) -> CrawlRecord:
         website = task.website
         return CrawlRecord(
             domain=website.domain,
@@ -595,51 +369,3 @@ class SupervisedExecutor:
             category=website.category,
             attempts=failures,
         )
-
-    def _deliver(
-        self,
-        worker: _Worker,
-        task: VisitTask,
-        record: CrawlRecord,
-        deadline_failures: int,
-        quarantined: bool,
-    ) -> VisitOutcome:
-        if self._persist is not None:
-            self._persist(task.os_name, record)
-        if quarantined:
-            _QUARANTINED.inc()
-            with self._stats_lock:
-                self.stats.quarantined += 1
-            if self._dead_letter is not None:
-                self._dead_letter(task.os_name, record, deadline_failures)
-        outcome = VisitOutcome(
-            task=task,
-            record=record,
-            worker_id=worker.id,
-            deadline_failures=deadline_failures,
-            quarantined=quarantined,
-        )
-        if self._on_outcome is not None:
-            self._on_outcome(outcome)
-        return outcome
-
-    # -- abandonment (true wedges) ----------------------------------------
-
-    def _on_abandon(self, guard: VisitGuard) -> None:
-        """Watchdog callback: a worker ignored its cancellation."""
-        with self._stats_lock:
-            worker = self._workers_by_id.get(guard.worker_id)
-            if worker is None or worker.poisoned:
-                return
-            worker.poisoned = True
-            self.stats.abandoned_workers += 1
-        task = worker.current_task
-        if task is not None:
-            record = self._deadline_record(task, failures=1)
-            outcome = self._deliver(
-                worker, task, record, deadline_failures=1, quarantined=True
-            )
-            self._results.put(outcome)
-        # Replace the worker so its queue keeps draining; the wedged
-        # thread is daemonic and can never dequeue again (poisoned).
-        self._spawn_worker_on(worker.queue)

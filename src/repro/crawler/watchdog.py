@@ -11,12 +11,12 @@ a livelocked worker — by definition it stops advancing):
 * the :class:`Watchdog` thread polls all active guards every
   ``poll_interval_s`` and cancels any attempt past its deadline by
   setting its :class:`CancelToken` — cooperative code (the injected
-  ``hang`` fault's wedge loop, any long-running visit step) observes the
-  token and raises :class:`VisitCancelled`;
+  ``hang`` fault's wedge loop) observes the token and raises
+  :class:`VisitCancelled`;
 * an attempt that *ignores* its cancellation for ``abandon_grace_s`` is
-  declared abandoned — the supervisor writes the visit off as a deadline
-  failure and replaces the worker, so one pathological page can never
-  wedge a campaign.
+  declared abandoned: counted, and handed to ``on_abandon`` when the
+  owner set one.  The campaign executor sets none, and no crawl code
+  reads the token, so a real visit past its deadline runs to completion.
 
 Cancellation latency is bounded by construction: a cancelled visit ends
 at most one poll interval after its deadline, which is exactly what the

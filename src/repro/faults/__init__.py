@@ -19,7 +19,6 @@ from .injector import (
     InjectedCrashError,
     InjectedDiskFullError,
     InjectedWorkerCrashError,
-    ScopedFaultInjector,
     StorageWriteError,
 )
 from .plan import FaultKind, FaultPlan, FaultSpec
@@ -32,6 +31,5 @@ __all__ = [
     "InjectedCrashError",
     "InjectedDiskFullError",
     "InjectedWorkerCrashError",
-    "ScopedFaultInjector",
     "StorageWriteError",
 ]

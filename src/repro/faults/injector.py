@@ -54,10 +54,8 @@ class InjectedWorkerCrashError(RuntimeError):
 class FaultInjector:
     """Executes one fault plan; tracks what it actually injected.
 
-    Counter state is guarded by a lock so the supervised executor's
-    worker threads can share one injector; injection *counts* are sums
-    and therefore order-independent, which keeps the chaos benches'
-    invariance assertions meaningful under ``--workers N``.
+    Counter state is guarded by a lock so the serve engine's worker
+    threads can share one injector.
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan)
@@ -82,7 +80,7 @@ class FaultInjector:
 
     def record_injection(self, kind: FaultKind) -> None:
         """Count an injection executed outside the injector's own seams
-        (the supervised executor drives hang/slow/crash strikes itself)."""
+        (the supervised executor drives hang/slow strikes itself)."""
         self._record(kind)
 
     def injected_total(self) -> int:
@@ -443,84 +441,3 @@ class FaultInjector:
                 raise InjectedCrashError(
                     f"injected crash at visit {visits}"
                 )
-
-    # -- supervised-executor views ----------------------------------------
-
-    def scoped(self) -> "ScopedFaultInjector":
-        """A per-worker view whose fault keys are qualified per visit.
-
-        Worker threads race on *when* each visit runs, so any state keyed
-        by something two visits share (a third-party host, the global
-        connectivity-check counter) would make injection order-dependent.
-        The scoped view prefixes every transient-fault key with the visit
-        context (``os:domain``) and replaces the live connectivity counter
-        with the visit's deterministic submission index — every fault
-        becomes a pure function of the visit, so the same plan injects
-        identically at any worker count.
-        """
-        return ScopedFaultInjector(self)
-
-
-class ScopedFaultInjector:
-    """Per-visit-scoped façade over a shared :class:`FaultInjector`.
-
-    One instance belongs to one executor worker; the worker points it at
-    the current visit with :meth:`begin_visit` before crawling.  Hook
-    signatures match the base injector's, so it plugs into the same
-    crawler seams.
-    """
-
-    __slots__ = ("base", "_context", "_index", "_gate_checks")
-
-    def __init__(self, base: FaultInjector) -> None:
-        self.base = base
-        self._context = ""
-        self._index = 0
-        self._gate_checks = 0
-
-    @property
-    def plan(self) -> FaultPlan:
-        return self.base.plan
-
-    def begin_visit(self, context: str, submission_index: int) -> None:
-        """Bind the view to one visit (1-based deterministic index)."""
-        self._context = context
-        self._index = submission_index
-        self._gate_checks = 0
-
-    # -- scoped seams ------------------------------------------------------
-
-    def dns_hook(self, host: str) -> NetError | None:
-        return self.base.dns_hook(f"{self._context}|{host}")
-
-    def connect_hook(self, host: str, port: int) -> NetError | None:
-        return self.base.connect_hook(f"{self._context}|{host}", port)
-
-    def stun_hook(self, peer: str) -> NetError | None:
-        return self.base.stun_hook(f"{self._context}|{peer}")
-
-    def mdns_hook(self, interface: str) -> NetError | None:
-        return self.base.mdns_hook(f"{self._context}|{interface}")
-
-    def connectivity_hook(self) -> bool:
-        """Deterministic outage semantics for parallel execution.
-
-        An ``outage`` spec with ``at_count=N, duration=D`` strikes the
-        visit with submission index N: its first D gate checks see a down
-        uplink, then it recovers — the same bounded shape as the
-        sequential campaign's check-counter window, but keyed to the
-        visit instead of a shared live counter.
-        """
-        self._gate_checks += 1
-        for spec in self.plan.specs(FaultKind.OUTAGE):
-            if spec.at_count is None or spec.duration <= 0:
-                continue
-            if self._index == spec.at_count and self._gate_checks <= spec.duration:
-                self.base._record(FaultKind.OUTAGE)
-                return True
-        return False
-
-    def corrupt_netlog(
-        self, document: "str | bytes", key: str
-    ) -> "str | bytes":
-        return self.base.corrupt_netlog(document, f"{self._context}|{key}")

@@ -9,8 +9,7 @@ so logs keep a durable record.
 
 The live line is suppressed when stderr is not a TTY (CI logs would
 otherwise fill with ``\\r`` frames); the final summary always prints.
-Thread-safe: supervised executors report completions from worker
-threads.
+Thread-safe, so a caller may report completions from any thread.
 """
 
 from __future__ import annotations

@@ -79,8 +79,8 @@ _VISIT_WRITES = obs.counter(
 class TelemetryStore:
     """SQLite store for crawl telemetry.
 
-    ``serialized=True`` turns on the concurrent-writer mode the
-    supervised executor needs: the connection is shared across threads
+    ``serialized=True`` turns on the concurrent-writer mode the serve
+    daemon's worker threads need: the connection is shared across threads
     behind an internal writer lock, and file-backed stores switch to WAL
     journaling so readers never block a checkpointing writer.
 

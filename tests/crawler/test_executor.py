@@ -4,14 +4,17 @@ Fast-by-construction: small populations, short wall deadlines, tight
 watchdog polls.  The chaos bench covers the same properties at scale.
 """
 
+import hashlib
+
 import pytest
 
 from repro.browser.errors import NetError
 from repro.crawler.campaign import Campaign, finding_fingerprint
 from repro.crawler.executor import ExecutorConfig, SupervisedExecutor
 from repro.crawler.retry import RetryPolicy
-from repro.faults import FaultKind, FaultPlan, FaultSpec
+from repro.faults import FaultKind, FaultPlan, FaultSpec, InjectedCrashError
 from repro.storage.db import TelemetryStore
+from repro.storage.integrity import campaign_digest
 from repro.web.population import CrawlPopulation, build_top_population
 from repro.web.website import Website
 
@@ -75,14 +78,6 @@ class TestConfigValidation:
             executor=_config(1, visit_deadline_ms=10_000.0)
         )
         with pytest.raises(ValueError, match="monitor window"):
-            campaign.run(_population(scale=0.001))
-
-    def test_parallel_workers_need_serialized_store(self):
-        campaign = Campaign(
-            store=TelemetryStore(),  # serialized=False
-            executor=_config(2),
-        )
-        with pytest.raises(ValueError, match="serialized"):
             campaign.run(_population(scale=0.001))
 
 
@@ -226,13 +221,13 @@ class TestPassPlumbing:
 
         environment = OSEnvironment.for_os("windows")
         with executor.supervise():
-            outcomes = executor.run_pass(
+            outcomes = list(executor.run_pass(
                 "windows",
                 population.websites,
                 crawler_factory=lambda scoped: Crawler(
                     environment, injector=scoped
                 ),
-            )
+            ))
         assert [o.task.index for o in outcomes] == list(
             range(1, len(population) + 1)
         )
@@ -259,3 +254,261 @@ class TestPassPlumbing:
         ]
         assert _table1(runs[0]) == _table1(runs[1])
         assert _fingerprints(runs[0]) == _fingerprints(runs[1])
+
+
+# ---------------------------------------------------------------------------
+# One execution path: every campaign runs the same supervised loop
+# ---------------------------------------------------------------------------
+
+#: The chaos bench's fault kinds: every seam a campaign's crawl and store
+#: expose, all transient or bounded.
+TRANSIENT_FAULTS = (
+    FaultSpec(kind=FaultKind.DNS, rate=0.05, times=2),
+    FaultSpec(kind=FaultKind.CONNECTION_RESET, rate=0.03),
+    FaultSpec(kind=FaultKind.TLS, rate=0.02),
+    FaultSpec(kind=FaultKind.OUTAGE, at_count=25, duration=2),
+    FaultSpec(kind=FaultKind.STORAGE_WRITE, rate=0.02),
+)
+#: Those plus the executor-driven kinds.  Hang rates stay low because
+#: visits run one at a time, so every injected hang costs one wall
+#: deadline: this seed hangs one site once and makes one a deterministic
+#: failer, on every OS.
+MIXED_PLAN = FaultPlan(
+    seed="one-path",
+    faults=TRANSIENT_FAULTS
+    + (
+        FaultSpec(kind=FaultKind.HANG, rate=0.01, times=1),
+        FaultSpec(kind=FaultKind.HANG, rate=0.005, times=10),
+        FaultSpec(kind=FaultKind.SLOW, rate=0.03, duration=3_000),
+        FaultSpec(kind=FaultKind.SLOW, rate=0.02, duration=10_000),
+    ),
+)
+
+
+def _run_observed(population, plan, executor=None, store=None, resume=False):
+    """One campaign run and everything two equivalent runs must share."""
+    store = store if store is not None else TelemetryStore()
+    campaign = Campaign(
+        store=store,
+        retry_policy=RetryPolicy(max_attempts=4),
+        fault_plan=plan,
+        check_connectivity=True,
+        executor=executor,
+    )
+    result = campaign.run(population, resume=resume)
+    return {
+        "table1": _full_table1(result),
+        "fingerprints": _fingerprints(result),
+        "digest": campaign_digest(store, population.name),
+        "dead_letters": store.dead_letters(population.name),
+        "injected": dict(campaign.last_injector.injected),
+    }
+
+
+def _full_table1(result):
+    """Table 1 with its attempt, retry and backoff columns."""
+    return {
+        os_name: (
+            stats.successes,
+            stats.failures,
+            dict(stats.errors or {}),
+            stats.skipped,
+            stats.total_attempts,
+            stats.retried,
+            stats.recovered,
+            stats.backoff_ms,
+        )
+        for os_name, stats in result.stats.items()
+    }
+
+
+class TestOneExecutionPath:
+    """The differential anchor: any worker count, and a campaign built
+    without an ExecutorConfig, run the same visits with the same faults."""
+
+    def test_worker_alias_and_plain_campaign_agree(self):
+        population = _population()
+        default = _run_observed(population, MIXED_PLAN, _config(1))
+        aliased = _run_observed(population, MIXED_PLAN, _config(4))
+        assert aliased == default
+        # Every fault shape fired, and the deterministic failer was
+        # dead-lettered once per OS.
+        assert set(default["injected"]) == {
+            FaultKind.DNS, FaultKind.CONNECTION_RESET, FaultKind.TLS,
+            FaultKind.OUTAGE, FaultKind.STORAGE_WRITE, FaultKind.HANG,
+            FaultKind.SLOW,
+        }
+        assert len(default["dead_letters"]) == len(population.oses)
+
+        # Without hang/slow, a campaign built without an ExecutorConfig
+        # is the same run as one built with it.
+        sequential_plan = MIXED_PLAN.without(FaultKind.HANG, FaultKind.SLOW)
+        plain = _run_observed(population, sequential_plan)
+        configured = _run_observed(population, sequential_plan, _config(1))
+        assert plain == configured
+        assert plain["dead_letters"] == []
+
+    def test_crash_then_resume_matches_uninterrupted(self):
+        population = _population()
+        uninterrupted = _run_observed(population, MIXED_PLAN, _config(1))
+
+        crash_at = len(population) + 17  # partway into the second pass
+        crashing = FaultPlan(
+            seed=MIXED_PLAN.seed,
+            faults=MIXED_PLAN.faults
+            + (FaultSpec(kind=FaultKind.CRASH, at_count=crash_at),),
+        )
+        store = TelemetryStore()
+        with pytest.raises(InjectedCrashError):
+            _run_observed(population, crashing, _config(1), store=store)
+        # The crashed visit left no trace.
+        assert len(store.visits(population.name)) == crash_at - 1
+
+        resumed = _run_observed(
+            population, MIXED_PLAN, _config(1), store=store, resume=True
+        )
+        for key in ("fingerprints", "digest", "dead_letters"):
+            assert resumed[key] == uninterrupted[key], key
+        # Restored rows carry no backoff, and the resumed visits see the
+        # fault counters afresh, so compare Table 1's outcome columns.
+        assert {
+            os_name: row[:4] for os_name, row in resumed["table1"].items()
+        } == {
+            os_name: row[:4] for os_name, row in uninterrupted["table1"].items()
+        }
+
+
+#: The chaos bench's CHAOS_PLAN (benchmarks/test_ablation_fault_tolerance.py).
+CHAOS_PLAN = FaultPlan(seed="chaos-bench", faults=TRANSIENT_FAULTS)
+
+_NXDOMAIN_18 = {"NAME_NOT_RESOLVED": 18}
+_NXDOMAIN_17 = {"NAME_NOT_RESOLVED": 17}
+
+
+class TestSerialSemanticsPinned:
+    """The chaos bench's plan run serially, and its crash and resume,
+    reproduce recorded results exactly (scale 0.002, crash at visit 250):
+    the serial fault semantics are pinned, so any change to them shows
+    here."""
+
+    DIGEST = "7957edb26036d4b91e3a83d40e339065bb416b25f25fe97bdfe9af6f47cd51cb"
+    FINGERPRINTS_SHA256 = (
+        "2fddae960b41e607d05672f9500d009d71f9a857a739643c531585eb6d62864a"
+    )
+
+    @staticmethod
+    def _campaign(plan, store):
+        return Campaign(
+            retry_policy=RetryPolicy(max_attempts=4),
+            fault_plan=plan,
+            check_connectivity=True,
+            store=store,
+            checkpoint_every=50,
+        )
+
+    @staticmethod
+    def _injected(campaign):
+        return {
+            kind.value: count
+            for kind, count in campaign.last_injector.injected.items()
+        }
+
+    @staticmethod
+    def _fingerprints_sha256(result):
+        return hashlib.sha256(
+            repr(_fingerprints(result)).encode()
+        ).hexdigest()
+
+    def test_chaos_plan_and_crash_resume_match_recorded_results(self):
+        population = _population()
+        store = TelemetryStore()
+        campaign = self._campaign(CHAOS_PLAN, store)
+        result = campaign.run(population)
+        assert campaign_digest(store, population.name) == self.DIGEST
+        assert self._fingerprints_sha256(result) == self.FINGERPRINTS_SHA256
+        assert _full_table1(result) == {
+            "windows": (182, 18, _NXDOMAIN_18, 0, 279, 35, 17, 90715.57500000003),
+            "linux": (183, 17, _NXDOMAIN_17, 0, 253, 18, 1, 67228.27500000001),
+            "mac": (182, 18, _NXDOMAIN_18, 0, 254, 18, 0, 70037.09999999999),
+        }
+        assert self._injected(campaign) == {
+            "dns": 18, "outage": 2, "reset": 14, "storage-write": 11, "tls": 8,
+        }
+
+        crash_plan = FaultPlan(
+            seed=CHAOS_PLAN.seed,
+            faults=CHAOS_PLAN.faults
+            + (FaultSpec(kind=FaultKind.CRASH, at_count=250),),
+        )
+        store = TelemetryStore()
+        crashing = self._campaign(crash_plan, store)
+        with pytest.raises(InjectedCrashError):
+            crashing.run(population)
+        assert len(store.visits(population.name)) == 249
+        assert self._injected(crashing) == {
+            "crash": 1, "dns": 16, "outage": 2, "reset": 14,
+            "storage-write": 6, "tls": 7,
+        }
+
+        resuming = self._campaign(CHAOS_PLAN, store)
+        resumed = resuming.run(population, resume=True)
+        assert campaign_digest(store, population.name) == self.DIGEST
+        assert self._fingerprints_sha256(resumed) == self.FINGERPRINTS_SHA256
+        assert _full_table1(resumed) == {
+            "windows": (182, 18, _NXDOMAIN_18, 0, 279, 35, 17, 0.0),
+            "linux": (183, 17, _NXDOMAIN_17, 0, 265, 27, 10, 66203.3),
+            "mac": (182, 18, _NXDOMAIN_18, 0, 266, 25, 7, 80107.42499999999),
+        }
+        assert self._injected(resuming) == {
+            "dns": 18, "outage": 2, "reset": 11, "storage-write": 5, "tls": 7,
+        }
+
+
+class TestDerivedBudget:
+    """The default simulated budget follows the monitor window (+5 s)."""
+
+    WINDOW_MS = 30_000
+
+    def _slow_plan(self, duration):
+        return FaultPlan(
+            seed="budget-test",
+            faults=(FaultSpec(kind=FaultKind.SLOW, rate=1.0, duration=duration),),
+        )
+
+    def test_serial_campaign_runs_at_a_longer_window(self):
+        Campaign(monitor_window_ms=self.WINDOW_MS).run(_population(scale=0.001))
+
+    def test_stall_within_derived_budget_is_ridden_out(self):
+        population = _tiny_population()
+        baseline = Campaign(monitor_window_ms=self.WINDOW_MS).run(population)
+        campaign = Campaign(
+            monitor_window_ms=self.WINDOW_MS, fault_plan=self._slow_plan(4_000)
+        )
+        result = campaign.run(population)
+        stats = campaign.last_executor.stats
+        assert stats.slow_ridden_out == len(population) * 3
+        assert stats.deadline_exceeded == 0
+        assert _fingerprints(result) == _fingerprints(baseline)
+
+    def test_stall_past_derived_budget_is_cancelled_then_recovers(self):
+        population = _tiny_population()
+        baseline = Campaign(monitor_window_ms=self.WINDOW_MS).run(population)
+        campaign = Campaign(
+            monitor_window_ms=self.WINDOW_MS, fault_plan=self._slow_plan(6_000)
+        )
+        result = campaign.run(population)
+        stats = campaign.last_executor.stats
+        assert stats.deadline_exceeded == len(population) * 3
+        assert stats.reattempts == len(population) * 3
+        assert stats.quarantined == 0
+        assert _table1(result) == _table1(baseline)
+        assert _fingerprints(result) == _fingerprints(baseline)
+
+    @pytest.mark.parametrize("deadline", [20_000.0, 30_000.0])
+    def test_explicit_deadline_at_or_below_window_raises(self, deadline):
+        campaign = Campaign(
+            monitor_window_ms=self.WINDOW_MS,
+            executor=ExecutorConfig(visit_deadline_ms=deadline),
+        )
+        with pytest.raises(ValueError, match="monitor window"):
+            campaign.run(_tiny_population())

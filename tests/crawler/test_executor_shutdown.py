@@ -21,6 +21,11 @@ from repro.web.population import build_top_population
 
 SCALE = 0.002
 
+#: Campaign digest of a fault-free serial top2020 crawl at scale 0.01.
+SERIAL_DIGEST_AT_001 = (
+    "c95104ad0f6eee4834b9bf43df36c05d114b518b09f525a95db56ed609aab4fb"
+)
+
 FAST = dict(
     wall_deadline_s=0.1,
     watchdog_poll_s=0.02,
@@ -177,6 +182,59 @@ def test_process_group_signal_drains_then_resume_is_clean(tmp_path, signum):
     )
     assert audit.returncode == 0, (audit.stdout, audit.stderr)
     assert f"campaign digest top2020: {expected}" in audit.stdout
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+)
+def test_serial_process_group_signal_drains_then_resume_is_clean(
+    tmp_path, signum
+):
+    """The same process-group signal without ``--workers``: a serial
+    study is the same supervised loop, so it drains too — exit 130, not
+    a ``KeyboardInterrupt`` traceback or a kill — and ``--resume``
+    finishes to a clean fsck with the serial campaign's digest."""
+    scale = 0.01
+    db = str(tmp_path / "crawl.db")
+    netlogs = tmp_path / "netlogs"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    command = [
+        sys.executable, "-m", "repro.cli", "study",
+        "--population", "top2020", "--scale", str(scale),
+        "--db", db, "--netlog-dir", str(netlogs),
+    ]
+    process = subprocess.Popen(
+        command, env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    deadline = time.monotonic() + 60
+    while not (netlogs.is_dir() and any(netlogs.rglob("*.json"))):
+        if process.poll() is not None or time.monotonic() > deadline:
+            process.kill()
+            pytest.fail(f"no archive document appeared: {process.communicate()}")
+        time.sleep(0.01)
+    os.killpg(process.pid, signum)
+    stdout, stderr = process.communicate(timeout=120)
+    assert process.returncode == 130, (stdout, stderr)
+    assert "interrupted: campaign drained after signal" in stderr
+
+    resumed = subprocess.run(
+        command + ["--resume"], env=env,
+        capture_output=True, text=True, timeout=240,
+    )
+    assert resumed.returncode == 0, (resumed.stdout, resumed.stderr)
+
+    audit = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "fsck",
+            "--db", db, "--netlog-dir", str(netlogs),
+        ],
+        env=env, capture_output=True, text=True, timeout=240,
+    )
+    assert audit.returncode == 0, (audit.stdout, audit.stderr)
+    assert f"campaign digest top2020: {SERIAL_DIGEST_AT_001}" in audit.stdout
 
 
 @pytest.mark.parametrize("workers", [1, 4])

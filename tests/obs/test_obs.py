@@ -109,7 +109,6 @@ class TestDeclarationDiscipline:
         assert {
             "repro_visits_total",
             "repro_executor_dispatched_total",
-            "repro_executor_queue_depth",
             "repro_watchdog_cancellations_total",
             "repro_watchdog_cancel_latency_seconds",
             "repro_visit_retries_total",

@@ -201,11 +201,13 @@ class TestStudySupervised:
         assert main(["study", "--scale", "0.001", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "supervision:" in out
-        assert "2 workers" in out
+        # A compatibility alias: no run claims parallel workers.
+        assert "workers" not in out
 
-    def test_sequential_run_prints_no_supervision(self, capsys):
+    def test_sequential_run_prints_supervision(self, capsys):
+        # Every study runs through the supervised loop, --workers or not.
         assert main(["study", "--scale", "0.001"]) == 0
-        assert "supervision:" not in capsys.readouterr().out
+        assert "supervision:" in capsys.readouterr().out
 
     def test_visit_deadline_below_window_rejected(self, capsys):
         assert (
@@ -224,8 +226,8 @@ class TestStudySupervised:
         assert main(["study", "--scale", "0.001", "--workers", "-1"]) == 2
         err = capsys.readouterr().err
         assert "--workers must be >= 0" in err
-        # The error explains the 0 sentinel, mirroring the --help text.
-        assert "sequential loop" in err
+        # The error explains the alias, mirroring the --help text.
+        assert "compatibility alias" in err
 
     def test_zero_retries_rejected(self, capsys):
         # Symmetric with --workers: out-of-range values get one clear
@@ -237,14 +239,17 @@ class TestStudySupervised:
 
     def test_workers_zero_is_the_documented_sequential_sentinel(self, capsys):
         assert main(["study", "--scale", "0.001", "--workers", "0"]) == 0
-        assert "supervision:" not in capsys.readouterr().out
+        zero = capsys.readouterr().out
+        # 0 is the default: the same run as no flag at all.
+        assert main(["study", "--scale", "0.001"]) == 0
+        assert zero == capsys.readouterr().out
 
     def test_workers_help_documents_sentinel(self, capsys):
         with pytest.raises(SystemExit):
             main(["study", "--help"])
         # Collapse argparse's line wrapping before matching phrases.
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "0 is a sentinel meaning the plain sequential loop" in help_text
+        assert "compatibility alias kept for old command lines (default 0)" in help_text
 
 
 class TestStudySharded:
