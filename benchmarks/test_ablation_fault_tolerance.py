@@ -189,10 +189,10 @@ SCHED_SLACK_S = 0.35
 SUPERVISED_PLAN = FaultPlan(
     seed="supervised-chaos",
     faults=(
-        # The sequential chaos kinds still fire (scoped per visit) ...
+        # The sequential chaos kinds fire under the serial fault keys ...
         FaultSpec(kind=FaultKind.DNS, rate=0.05, times=2),
-        # ... plus the supervised-only kinds: transient hangs the
-        # watchdog rescues and the executor re-attempts,
+        # ... plus the kinds that exercise the supervision: transient
+        # hangs the watchdog rescues and the executor re-attempts,
         FaultSpec(kind=FaultKind.HANG, rate=0.02, times=1),
         # deterministic failers (depth >= quarantine_after) that must be
         # dead-lettered exactly once,

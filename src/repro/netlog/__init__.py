@@ -16,7 +16,6 @@ from .binary import (
     dump_binary,
     dumps_binary,
     iter_events_binary,
-    load_binary,
     read_binary_header,
 )
 from .codec import (
@@ -89,7 +88,6 @@ __all__ = [
     "dumps_binary",
     "get_codec",
     "iter_events_binary",
-    "load_binary",
     "make_capture_buffer",
     "read_binary_header",
     "sniff_format",

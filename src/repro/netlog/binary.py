@@ -4,10 +4,10 @@ A length-prefixed binary sibling of the JSON document format in
 :mod:`repro.netlog.writer`.  The JSON form is self-describing and greppable
 but costs a ``json.loads`` per record on every re-analysis; measurement
 corpora are scanned far more often than they are captured, so this format
-optimises the read side: fixed-offset framing that a scanner can walk with
-``struct.unpack_from`` over a single ``memoryview`` (no per-record JSON
-decode, no intermediate dict), with only the free-form ``params`` payload
-kept as embedded JSON bytes.
+optimises the read side: length-prefixed frames that a reader takes one at
+a time with precompiled ``struct`` unpacks (no per-record JSON decode, no
+intermediate dict), with only the free-form ``params`` payload kept as
+embedded JSON bytes.
 
 Document layout::
 
@@ -28,16 +28,17 @@ Document layout::
 
 Integrity is two-layered:
 
-* every frame carries a CRC32 over its own payload bytes — verified on
-  the fast path at C speed, so in-place corruption is caught without
+* every frame carries a CRC32 over its own payload bytes — verified at C
+  speed in both verify regimes, so in-place corruption is caught without
   re-canonicalising the record;
 * checksummed records additionally store the *same* ``crc``/``chain``
   values the JSON writer computes — CRC32 over the record's canonical
   JSON form and the ``crc32-chain-v1`` rolling chain — so a document can
   be transcoded between formats without touching its checksum chain, and
-  ``repro fsck`` audits both formats against one contract
-  (:func:`verify_full` re-derives the canonical forms exactly like the
-  JSON parser's :class:`~repro.netlog.parser.ChainVerifier`).
+  ``repro fsck`` audits both formats against one contract (the
+  ``verify="full"`` regime of :func:`iter_events_binary` re-derives the
+  canonical forms through the JSON parsers'
+  :class:`~repro.netlog.parser.ChainVerifier`).
 
 Salvage semantics mirror the JSON parsers: with ``strict=False`` a
 truncated, NUL-padded, torn or bit-flipped document yields every event in
@@ -117,23 +118,23 @@ _crc32 = zlib.crc32
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _decode_params(payload: memoryview, offset: int) -> dict:
+def _decode_params(payload: bytes, offset: int) -> object:
     """Decode the params JSON slice of an event payload.
 
-    ``str(view, "utf-8")`` decodes straight from the memoryview (one
-    copy, not two) and handing the C scanner a ``str`` avoids the
-    byte-level sniffing ``json.loads`` would repeat per record.  Raises
-    ``ValueError`` on damage (the caller maps it to the malformed-record
-    disposition).
+    The one params decoder, for both verify regimes and the transcoder.
+    Handing the prebuilt C scanner a ``str`` skips the byte-level
+    sniffing ``json.loads`` would repeat per record.  Raises
+    ``ValueError`` unless the slice is exactly one JSON value in the
+    compact form the writers emit (nothing before or after it).
     """
     text = str(payload[offset:], "utf-8")
     try:
-        params, _ = _scan_json(text, 0)
+        value, end = _scan_json(text, 0)
     except StopIteration:
-        raise ValueError("empty params payload") from None
-    if not isinstance(params, dict):
-        raise ValueError("event params must be an object")
-    return params
+        raise ValueError("params payload is not JSON") from None
+    if end != len(text):
+        raise ValueError("trailing bytes after the params value")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,7 @@ def dumps_binary(
 
 
 # ---------------------------------------------------------------------------
-# Frame scanning
+# Reading
 # ---------------------------------------------------------------------------
 
 
@@ -383,63 +384,62 @@ class _Framing(Exception):
         self.partial_record = partial_record
 
 
-def _iter_frames_buffer(
-    view: memoryview,
-) -> Iterator[tuple[int, memoryview]]:
-    """Yield ``(tag, payload)`` frames from one in-memory document.
+_FRAME_KINDS = {
+    TAG_HEADER: "header",
+    TAG_EVENT: "event",
+    TAG_TRAILER: "trailer",
+}
+_TAGS = frozenset(_FRAME_KINDS)
 
-    Zero-copy: payloads are ``memoryview`` slices of the source buffer.
+
+def _open(
+    source: bytes | bytearray | memoryview | IO[bytes],
+    strict: bool,
+    stats: ParseStats | None,
+) -> IO[bytes] | None:
+    """Check a document's magic; return its stream at the first frame.
+
+    Bytes input is wrapped in a ``BytesIO``.  A document that is empty or
+    cut inside the magic itself is truncated, not foreign: strict mode
+    raises :class:`NetLogTruncationError`, salvage marks ``stats`` and
+    returns None.  Any other head raises :class:`NetLogParseError`.
+    """
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        source = io.BytesIO(source)
+    magic = source.read(len(MAGIC))
+    if magic == MAGIC:
+        return source
+    if magic != MAGIC[: len(magic)]:
+        raise NetLogParseError("not a binary NetLog document (bad magic)")
+    if strict:
+        raise NetLogTruncationError(
+            "document ends inside the format magic"
+            if magic
+            else "empty NetLog document"
+        )
+    if stats is not None:
+        stats.truncated = True
+    return None
+
+
+def _frames(fp: IO[bytes]) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(tag, payload)`` for each frame of a stream past its magic.
+
+    One frame is resident at a time, so documents of any size stream.  A
+    frame whose payload fails its CRC comes back with its tag negated.
     Raises :class:`_Framing` at the first point the byte stream stops
-    making sense (truncation, NUL padding, a flipped length field).
+    being a frame sequence: truncation, an unknown tag, a flipped length
+    field, or NUL padding (a torn write flushed a sparse tail; nothing
+    after it is trustworthy, as with the JSON scanner's sticky end of
+    input).
     """
-    size = len(view)
-    offset = len(MAGIC)
-    head = _FRAME_HEAD
-    head_size = head.size
-    while offset < size:
-        tag = view[offset]
-        if tag == 0:
-            # NUL padding: a torn write flushed a sparse tail.  Nothing
-            # after this point is trustworthy (mirrors the JSON
-            # scanner's sticky-EOF NUL handling).
-            raise _Framing("NUL padding where a frame was expected")
-        if offset + head_size > size:
-            raise _Framing(
-                "document ends inside a frame header", partial_record=True
-            )
-        tag, length, frame_crc = head.unpack_from(view, offset)
-        if tag not in (TAG_HEADER, TAG_EVENT, TAG_TRAILER):
-            raise _Framing(f"unknown frame tag 0x{tag:02x}")
-        if length > MAX_FRAME_BYTES:
-            raise _Framing(
-                f"implausible frame length {length} (framing lost)"
-            )
-        start = offset + head_size
-        end = start + length
-        if end > size:
-            raise _Framing(
-                "document ends inside a frame payload",
-                partial_record=tag == TAG_EVENT,
-            )
-        payload = view[start:end]
-        if frame_crc != _crc32(payload):
-            yield -tag, payload  # negative tag: frame failed its own CRC
-        else:
-            yield tag, payload
-        offset = end
-
-
-def _iter_frames_file(fp: IO[bytes]) -> Iterator[tuple[int, memoryview]]:
-    """Yield ``(tag, payload)`` frames from a binary file object.
-
-    Bounded memory: exactly one frame is resident at a time, so
-    arbitrarily large documents stream.  Damage semantics match the
-    buffer scanner.
-    """
-    head = _FRAME_HEAD
-    head_size = head.size
+    read = fp.read
+    unpack_head = _FRAME_HEAD.unpack
+    head_size = _FRAME_HEAD.size
+    tags = _TAGS
+    crc32 = _crc32
     while True:
-        header = fp.read(head_size)
+        header = read(head_size)
         if not header:
             return
         if header[0] == 0:
@@ -448,39 +448,31 @@ def _iter_frames_file(fp: IO[bytes]) -> Iterator[tuple[int, memoryview]]:
             raise _Framing(
                 "document ends inside a frame header", partial_record=True
             )
-        tag, length, frame_crc = head.unpack_from(header)
-        if tag not in (TAG_HEADER, TAG_EVENT, TAG_TRAILER):
+        tag, length, frame_crc = unpack_head(header)
+        if tag not in tags:
             raise _Framing(f"unknown frame tag 0x{tag:02x}")
         if length > MAX_FRAME_BYTES:
             raise _Framing(
                 f"implausible frame length {length} (framing lost)"
             )
-        payload = fp.read(length)
+        payload = read(length)
         if len(payload) < length:
             raise _Framing(
                 "document ends inside a frame payload",
                 partial_record=tag == TAG_EVENT,
             )
-        view = memoryview(payload)
-        if frame_crc != _crc32(payload):
-            yield -tag, view
-        else:
-            yield tag, view
+        yield (tag if frame_crc == crc32(payload) else -tag), payload
 
 
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
-
-def _record_from_payload(payload: memoryview) -> dict:
+def _record_from_payload(payload: bytes) -> dict:
     """Reconstruct the JSON-shaped record dict for one event payload.
 
     Key order matches :func:`~repro.netlog.writer.event_to_record` plus
     the integrity fields in writer order, so a transcoded JSON document
     is byte-identical to one the JSON writer would emit.  ``FLAG_INT_TIME``
     restores the int-ness of ``time`` (canonical forms distinguish
-    ``7`` from ``7.0``).
+    ``7`` from ``7.0``).  Raises ``ValueError`` when the params bytes are
+    not JSON.
     """
     index, time_value, type_code, source_id, source_type, phase, flags = (
         _PRELUDE.unpack_from(payload, 0)
@@ -498,106 +490,11 @@ def _record_from_payload(payload: memoryview) -> dict:
         "phase": phase,
     }
     if flags & FLAG_PARAMS:
-        record["params"] = _loads(bytes(payload[offset:]))
+        record["params"] = _decode_params(payload, offset)
     if crc is not None:
         record["crc"] = crc
         record["chain"] = chain
     return record
-
-
-class _FastVerifier:
-    """Cheap integrity accounting for the zero-copy decode path.
-
-    Frame CRCs (checked by the scanner at C speed) already prove each
-    record's bytes are what the writer emitted; this verifier adds the
-    cross-record checks — record-index continuity (records lost,
-    reordered, or spliced) and the trailer's count/final-chain — without
-    re-deriving canonical JSON forms.  ``repro fsck`` uses
-    :func:`verify_full` (the shared :class:`ChainVerifier` contract)
-    instead when it wants the canonical-form proof.
-    """
-
-    __slots__ = ("expected", "seen", "seen_checksums", "last_chain", "synced")
-
-    def __init__(self) -> None:
-        self.expected = 0
-        self.seen = 0  # record frames consumed, resync-independent
-        self.seen_checksums = False
-        self.last_chain: int | None = None
-        self.synced = True
-
-    def check_index(
-        self,
-        index: int,
-        *,
-        strict: bool,
-        stats: ParseStats | None,
-    ) -> bool:
-        """Index continuity; False means the record must be dropped."""
-        self.seen += 1
-        if index == self.expected:
-            self.expected = index + 1
-            return True
-        if strict:
-            raise NetLogIntegrityError(
-                f"record index {index} where {self.expected} was expected "
-                "(records lost or reordered)"
-            )
-        if stats is not None:
-            stats.chain_breaks += 1
-            if stats.first_divergence is None:
-                stats.first_divergence = min(index, self.expected)
-        self.expected = index + 1
-        self.synced = False
-        return False
-
-    def mark_damage(self, stats: ParseStats | None) -> None:
-        """A record that never decoded still occupies its index slot."""
-        self.seen += 1
-        if (
-            self.seen_checksums
-            and stats is not None
-            and stats.first_divergence is None
-        ):
-            stats.first_divergence = self.expected
-        self.expected += 1
-        self.synced = False
-
-    def check_trailer(
-        self,
-        trailer: dict,
-        *,
-        strict: bool,
-        stats: ParseStats | None,
-    ) -> None:
-        expected_events = trailer.get("events")
-        expected_chain = trailer.get("chain")
-        # The count compares against record frames actually seen, not
-        # the post-resync index, so a spliced-out record trips both the
-        # index gap and the trailer count — mirroring the JSON parsers.
-        count_bad = (
-            isinstance(expected_events, int)
-            and expected_events != self.seen
-        )
-        chain_bad = (
-            self.synced
-            and self.seen_checksums
-            and isinstance(expected_chain, int)
-            and self.last_chain is not None
-            and expected_chain != self.last_chain
-        )
-        if count_bad or chain_bad:
-            detail = (
-                f"integrity trailer mismatch: trailer covers "
-                f"{expected_events} records ending at chain "
-                f"{expected_chain}, parse saw {self.seen}"
-            )
-            if strict:
-                raise NetLogIntegrityError(detail)
-            if stats is not None:
-                stats.chain_breaks += 1
-                if stats.first_divergence is None:
-                    stats.first_divergence = self.expected
 
 
 def iter_events_binary(
@@ -609,12 +506,13 @@ def iter_events_binary(
 ) -> Iterator[NetLogEvent]:
     """Yield events from a binary NetLog document.
 
-    ``source`` may be the document bytes (zero-copy scan over one
-    ``memoryview``) or a binary file object (one frame resident at a
-    time).  ``verify`` selects the integrity regime:
+    ``source`` may be the document bytes or a binary file object; either
+    way one frame is resident at a time.  ``verify`` selects the
+    integrity regime:
 
-    * ``"fast"`` (default) — frame CRCs plus index/trailer continuity;
-      catches every accidental-damage shape without re-canonicalising.
+    * ``"fast"`` (default) — frame CRCs plus record-index and trailer
+      continuity; catches every accidental-damage shape without
+      re-canonicalising.
     * ``"full"`` — additionally re-derives each checksummed record's
       canonical JSON form and walks the crc32-chain-v1 chain through the
       shared :class:`ChainVerifier`, exactly as the JSON parsers do.
@@ -622,70 +520,31 @@ def iter_events_binary(
     Salvage semantics (``strict=False``) mirror the JSON parsers: the
     intact prefix is yielded and the damage is accounted in ``stats``.
     """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        view = memoryview(source)
-        if bytes(view[: len(MAGIC)]) != MAGIC:
-            head = bytes(view[: len(MAGIC)])
-            if head == MAGIC[: len(head)]:
-                # Empty, or cut inside the magic itself: a truncated
-                # binary document, not a foreign format.
-                if strict:
-                    raise NetLogTruncationError(
-                        "document ends inside the format magic"
-                        if head
-                        else "empty NetLog document"
-                    )
-                if stats is not None:
-                    stats.truncated = True
-                return
-            raise NetLogParseError("not a binary NetLog document (bad magic)")
-        if verify == "full":
-            yield from _iter_decoded(
-                _iter_frames_buffer(view),
-                strict=strict,
-                stats=stats,
-                verify=verify,
-            )
-        else:
-            yield from _iter_events_fused(view, strict=strict, stats=stats)
+    fp = _open(source, strict, stats)
+    if fp is None:
         return
-    magic = source.read(len(MAGIC))
-    if magic != MAGIC:
-        if magic == MAGIC[: len(magic)]:
-            if strict:
-                raise NetLogTruncationError(
-                    "document ends inside the format magic"
-                    if magic
-                    else "empty NetLog document"
-                )
-            if stats is not None:
-                stats.truncated = True
-            return
-        raise NetLogParseError("not a binary NetLog document (bad magic)")
-    yield from _iter_decoded(
-        _iter_frames_file(source), strict=strict, stats=stats, verify=verify
-    )
-
-
-def _iter_decoded(
-    frames: Iterator[tuple[int, memoryview]],
-    *,
-    strict: bool,
-    stats: ParseStats | None,
-    verify: str,
-) -> Iterator[NetLogEvent]:
-    full = verify == "full"
-    fast = _FastVerifier()
-    chain_verifier = ChainVerifier() if full else None
-    prelude = _PRELUDE
-    prelude_size = prelude.size
-    integrity_size = _INTEGRITY.size
+    verifier = ChainVerifier() if verify == "full" else None
+    unpack_prelude = _PRELUDE.unpack_from
+    unpack_integrity = _INTEGRITY.unpack_from
+    prelude_size = _PRELUDE.size
+    integrity_end = prelude_size + _INTEGRITY.size
     event_type_of = _EVENT_TYPE_OF
     source_type_of = _SOURCE_TYPE_OF
     phase_of = _PHASE_OF
+    none_phase = EventPhase.NONE
+
+    # Record position, kept in both regimes: it places first_divergence
+    # for damage no record survives to report.  The fast regime also does
+    # its own accounting from it; the full regime leaves that to the
+    # ChainVerifier.
+    expected = 0  # next record index
+    seen = 0  # record frames consumed, resync-independent
+    seen_checksums = False
+    last_chain: int | None = None
+    synced = True
     saw_trailer = False
     try:
-        for tag, payload in frames:
+        for tag, payload in _frames(fp):
             if tag == TAG_EVENT:
                 (
                     index,
@@ -695,27 +554,49 @@ def _iter_decoded(
                     source_type,
                     phase,
                     flags,
-                ) = prelude.unpack_from(payload, 0)
-                checksummed = bool(flags & FLAG_INTEGRITY)
+                ) = unpack_prelude(payload)
+                checksummed = flags & FLAG_INTEGRITY
+                seen += 1
                 if checksummed:
-                    fast.seen_checksums = True
-                if full:
-                    record = _record_from_payload(payload)
-                    if not chain_verifier.verify(
-                        record, strict=strict, stats=stats
-                    ):
-                        fast.check_index(index, strict=False, stats=None)
+                    seen_checksums = True
+                    last_chain = unpack_integrity(payload, prelude_size)[1]
+                if verifier is None:
+                    if index != expected:
+                        # Records lost, reordered or spliced: drop the
+                        # record after the gap, like the chain walk does.
+                        if strict:
+                            raise NetLogIntegrityError(
+                                f"record index {index} where {expected} was "
+                                "expected (records lost or reordered)"
+                            )
+                        if stats is not None:
+                            stats.chain_breaks += 1
+                            if stats.first_divergence is None:
+                                stats.first_divergence = min(index, expected)
+                        expected = index + 1
+                        synced = False
                         continue
-                    fast.check_index(index, strict=False, stats=None)
-                else:
-                    if checksummed:
-                        fast.last_chain = _INTEGRITY.unpack_from(
-                            payload, prelude_size
-                        )[1]
-                    if not fast.check_index(index, strict=strict, stats=stats):
-                        continue
-                    if stats is not None and checksummed:
+                    expected = index + 1
+                    if checksummed and stats is not None:
                         stats.verified += 1
+                    record = None
+                else:
+                    expected = index + 1
+                    try:
+                        record = _record_from_payload(payload)
+                    except ValueError as exc:
+                        # The JSON walk's accounting for a record it
+                        # cannot decode: malformed, and a chain gap.
+                        if strict:
+                            raise NetLogParseError(
+                                f"malformed params: {exc}"
+                            ) from exc
+                        if stats is not None:
+                            stats.dropped_malformed += 1
+                        verifier.mark_gap(stats)
+                        continue
+                    if not verifier.verify(record, strict=strict, stats=stats):
+                        continue
                 event_type = event_type_of.get(type_code)
                 if event_type is None:
                     # Forward compatibility: same skip-and-count contract
@@ -736,29 +617,33 @@ def _iter_decoded(
                     if stats is not None:
                         stats.dropped_malformed += 1
                     continue
-                offset = prelude_size
-                if checksummed:
-                    offset += integrity_size
-                if flags & FLAG_PARAMS:
-                    try:
-                        params = _decode_params(payload, offset)
-                    except ValueError as exc:
-                        if strict:
-                            raise NetLogParseError(
-                                f"malformed params: {exc}"
-                            ) from exc
-                        if stats is not None:
-                            stats.dropped_malformed += 1
-                        continue
-                else:
-                    params = {}
+                try:
+                    if record is not None:
+                        params = record.get("params", {})
+                    elif flags & FLAG_PARAMS:
+                        params = _decode_params(
+                            payload,
+                            integrity_end if checksummed else prelude_size,
+                        )
+                    else:
+                        params = {}
+                    if not isinstance(params, dict):
+                        raise ValueError("event params must be an object")
+                except ValueError as exc:
+                    if strict:
+                        raise NetLogParseError(
+                            f"malformed params: {exc}"
+                        ) from exc
+                    if stats is not None:
+                        stats.dropped_malformed += 1
+                    continue
                 if stats is not None:
                     stats.parsed += 1
                 yield NetLogEvent(
                     time=time_value,
                     type=event_type,
                     source=NetLogSource(id=source_id, type=source_kind),
-                    phase=phase_of.get(phase, EventPhase.NONE),
+                    phase=phase_of.get(phase, none_phase),
                     params=params,
                 )
             elif tag == -TAG_EVENT:
@@ -766,58 +651,74 @@ def _iter_decoded(
                 # checksummed document counts it as a checksum failure
                 # (the analog of a record whose stored CRC lies); a
                 # plain document counts it as a malformed record.
-                checksummed = fast.seen_checksums or _frame_checksummed(
-                    payload
-                )
                 if strict:
                     raise NetLogIntegrityError(
                         "frame CRC mismatch (in-place corruption)"
                     )
-                if checksummed:
-                    fast.seen_checksums = True
+                if seen_checksums or (
+                    len(payload) >= prelude_size
+                    and payload[prelude_size - 1] & FLAG_INTEGRITY
+                ):
+                    seen_checksums = True
                     if stats is not None:
                         stats.checksum_failures += 1
                         if stats.first_divergence is None:
-                            stats.first_divergence = fast.expected
-                    fast.seen += 1
-                    fast.expected += 1
-                    fast.synced = False
-                else:
-                    if stats is not None:
-                        stats.dropped_malformed += 1
-                    fast.mark_damage(stats)
-                if chain_verifier is not None:
-                    chain_verifier.mark_gap(None)
-            elif tag == TAG_HEADER:
-                continue  # self-description only; vocabulary is native
+                            stats.first_divergence = expected
+                elif stats is not None:
+                    stats.dropped_malformed += 1
+                seen += 1
+                expected += 1
+                synced = False
+                if verifier is not None:
+                    verifier.mark_gap(None)
             elif tag == TAG_TRAILER:
                 saw_trailer = True
                 try:
-                    trailer = _loads(bytes(payload))
+                    trailer = _loads(payload)
                 except ValueError:
                     trailer = None
-                if isinstance(trailer, dict):
-                    if full:
-                        chain_verifier.check_trailer(
-                            trailer, strict=strict, stats=stats
-                        )
-                    else:
-                        fast.check_trailer(
-                            trailer, strict=strict, stats=stats
-                        )
+                if verifier is not None:
+                    verifier.check_trailer(trailer, strict=strict, stats=stats)
+                elif isinstance(trailer, dict):
+                    expected_events = trailer.get("events")
+                    expected_chain = trailer.get("chain")
+                    # The count compares against record frames actually
+                    # seen, not the post-resync index, so a spliced-out
+                    # record trips both the index gap and the trailer
+                    # count, as with the JSON parsers.
+                    if (
+                        isinstance(expected_events, int)
+                        and expected_events != seen
+                    ) or (
+                        synced
+                        and seen_checksums
+                        and isinstance(expected_chain, int)
+                        and last_chain is not None
+                        and expected_chain != last_chain
+                    ):
+                        if strict:
+                            raise NetLogIntegrityError(
+                                "integrity trailer mismatch: trailer covers "
+                                f"{expected_events} records ending at chain "
+                                f"{expected_chain}, parse saw {seen}"
+                            )
+                        if stats is not None:
+                            stats.chain_breaks += 1
+                            if stats.first_divergence is None:
+                                stats.first_divergence = expected
                 break  # nothing meaningful may follow the trailer
-            elif tag in (-TAG_HEADER, -TAG_TRAILER):
+            elif tag != TAG_HEADER:  # the header is self-description only
                 if strict:
                     raise NetLogIntegrityError(
                         "frame CRC mismatch (in-place corruption)"
                     )
                 # A damaged header loses only self-description; a
                 # damaged trailer loses the tail accounting.
-                if stats is not None and tag == -TAG_TRAILER:
-                    stats.chain_breaks += 1
-                    if stats.first_divergence is None:
-                        stats.first_divergence = fast.expected
                 if tag == -TAG_TRAILER:
+                    if stats is not None:
+                        stats.chain_breaks += 1
+                        if stats.first_divergence is None:
+                            stats.first_divergence = expected
                     saw_trailer = True
                     break
     except _Framing as exc:
@@ -827,7 +728,8 @@ def _iter_decoded(
             stats.truncated = True
             if exc.partial_record:
                 stats.dropped_malformed += 1
-                fast.mark_damage(stats)
+                if seen_checksums and stats.first_divergence is None:
+                    stats.first_divergence = expected
         return
     if not saw_trailer:
         # A binary document always closes with a trailer frame; running
@@ -836,249 +738,6 @@ def _iter_decoded(
             raise NetLogTruncationError("document ended before its trailer")
         if stats is not None:
             stats.truncated = True
-
-
-def _iter_events_fused(
-    view: memoryview,
-    *,
-    strict: bool,
-    stats: ParseStats | None,
-) -> Iterator[NetLogEvent]:
-    """Fused framing + decode over one in-memory document (fast verify).
-
-    The hot path: a single loop walks the buffer with
-    ``struct.unpack_from`` — no intermediate frame generator, no
-    per-record dict, no per-record ``json.loads`` wrapper — which is
-    what buys the binary format its parse-throughput edge.  Semantics
-    are identical to the generic frame loop (the salvage suite runs
-    against both paths); only the iteration structure differs.
-    """
-    size = len(view)
-    offset = len(MAGIC)
-    unpack_head = _FRAME_HEAD.unpack_from
-    unpack_prelude = _PRELUDE.unpack_from
-    unpack_integrity = _INTEGRITY.unpack_from
-    crc32 = _crc32
-    event_type_of = _EVENT_TYPE_OF
-    source_type_of = _SOURCE_TYPE_OF
-    phase_of = _PHASE_OF
-    head_size = _FRAME_HEAD.size
-    prelude_size = _PRELUDE.size
-    integrity_size = _INTEGRITY.size
-    none_phase = EventPhase.NONE
-
-    expected = 0  # next record index
-    seen = 0  # record frames consumed, resync-independent
-    seen_checksums = False
-    last_chain: int | None = None
-    synced = True
-    saw_trailer = False
-    damage: str | None = None
-    partial_record = False
-
-    while offset < size:
-        if view[offset] == 0:
-            damage = "NUL padding where a frame was expected"
-            break
-        if offset + head_size > size:
-            damage = "document ends inside a frame header"
-            partial_record = True
-            break
-        tag, length, frame_crc = unpack_head(view, offset)
-        if tag not in (TAG_HEADER, TAG_EVENT, TAG_TRAILER):
-            damage = f"unknown frame tag 0x{tag:02x}"
-            break
-        if length > MAX_FRAME_BYTES:
-            damage = f"implausible frame length {length} (framing lost)"
-            break
-        start = offset + head_size
-        end = start + length
-        if end > size:
-            damage = "document ends inside a frame payload"
-            partial_record = tag == TAG_EVENT
-            break
-        payload = view[start:end]
-        offset = end
-        if frame_crc != crc32(payload):
-            if strict:
-                raise NetLogIntegrityError(
-                    "frame CRC mismatch (in-place corruption)"
-                )
-            if tag == TAG_EVENT:
-                if seen_checksums or _frame_checksummed(payload):
-                    seen_checksums = True
-                    if stats is not None:
-                        stats.checksum_failures += 1
-                        if stats.first_divergence is None:
-                            stats.first_divergence = expected
-                else:
-                    if stats is not None:
-                        stats.dropped_malformed += 1
-                        if (
-                            seen_checksums
-                            and stats.first_divergence is None
-                        ):
-                            stats.first_divergence = expected
-                seen += 1
-                expected += 1
-                synced = False
-            elif tag == TAG_TRAILER:
-                if stats is not None:
-                    stats.chain_breaks += 1
-                    if stats.first_divergence is None:
-                        stats.first_divergence = expected
-                saw_trailer = True
-                break
-            continue
-        if tag == TAG_EVENT:
-            (
-                index,
-                time_value,
-                type_code,
-                source_id,
-                source_type,
-                phase,
-                flags,
-            ) = unpack_prelude(payload, 0)
-            checksummed = flags & FLAG_INTEGRITY
-            seen += 1
-            if checksummed:
-                seen_checksums = True
-                last_chain = unpack_integrity(payload, prelude_size)[1]
-            if index != expected:
-                if strict:
-                    raise NetLogIntegrityError(
-                        f"record index {index} where {expected} was "
-                        "expected (records lost or reordered)"
-                    )
-                if stats is not None:
-                    stats.chain_breaks += 1
-                    if stats.first_divergence is None:
-                        stats.first_divergence = min(index, expected)
-                expected = index + 1
-                synced = False
-                continue
-            expected = index + 1
-            event_type = event_type_of.get(type_code)
-            if event_type is None:
-                if strict:
-                    raise NetLogParseError(
-                        f"unknown event type: {type_code!r}"
-                    )
-                if stats is not None:
-                    if checksummed:
-                        stats.verified += 1
-                    stats.dropped_unknown_type += 1
-                continue
-            source_kind = source_type_of.get(source_type)
-            if source_kind is None:
-                if strict:
-                    raise NetLogParseError(
-                        f"malformed source type: {source_type!r}"
-                    )
-                if stats is not None:
-                    if checksummed:
-                        stats.verified += 1
-                    stats.dropped_malformed += 1
-                continue
-            if flags & FLAG_PARAMS:
-                body_offset = prelude_size
-                if checksummed:
-                    body_offset += integrity_size
-                try:
-                    params = _decode_params(payload, body_offset)
-                except ValueError as exc:
-                    if strict:
-                        raise NetLogParseError(
-                            f"malformed params: {exc}"
-                        ) from exc
-                    if stats is not None:
-                        if checksummed:
-                            stats.verified += 1
-                        stats.dropped_malformed += 1
-                    continue
-            else:
-                params = {}
-            if stats is not None:
-                stats.parsed += 1
-                if checksummed:
-                    stats.verified += 1
-            yield NetLogEvent(
-                time=time_value,
-                type=event_type,
-                source=NetLogSource(id=source_id, type=source_kind),
-                phase=phase_of.get(phase, none_phase),
-                params=params,
-            )
-        elif tag == TAG_TRAILER:
-            saw_trailer = True
-            try:
-                trailer = _loads(bytes(payload))
-            except ValueError:
-                trailer = None
-            if isinstance(trailer, dict):
-                expected_events = trailer.get("events")
-                expected_chain = trailer.get("chain")
-                count_bad = (
-                    isinstance(expected_events, int)
-                    and expected_events != seen
-                )
-                chain_bad = (
-                    synced
-                    and seen_checksums
-                    and isinstance(expected_chain, int)
-                    and last_chain is not None
-                    and expected_chain != last_chain
-                )
-                if count_bad or chain_bad:
-                    if strict:
-                        raise NetLogIntegrityError(
-                            "integrity trailer mismatch: trailer covers "
-                            f"{expected_events} records ending at chain "
-                            f"{expected_chain}, parse saw {seen}"
-                        )
-                    if stats is not None:
-                        stats.chain_breaks += 1
-                        if stats.first_divergence is None:
-                            stats.first_divergence = expected
-            break
-        # TAG_HEADER: self-description only; vocabulary is native.
-
-    if damage is not None:
-        if strict:
-            raise NetLogTruncationError(damage)
-        if stats is not None:
-            stats.truncated = True
-            if partial_record:
-                stats.dropped_malformed += 1
-                if seen_checksums and stats.first_divergence is None:
-                    stats.first_divergence = expected
-        return
-    if not saw_trailer:
-        if strict:
-            raise NetLogTruncationError("document ended before its trailer")
-        if stats is not None:
-            stats.truncated = True
-
-
-def _frame_checksummed(payload: memoryview) -> bool:
-    """Best-effort: did a CRC-failed event frame carry integrity fields?"""
-    if len(payload) < _PRELUDE.size:
-        return False
-    return bool(payload[_PRELUDE.size - 1] & FLAG_INTEGRITY)
-
-
-def load_binary(
-    source: bytes | IO[bytes],
-    *,
-    strict: bool = True,
-    stats: ParseStats | None = None,
-    verify: str = "fast",
-) -> list[NetLogEvent]:
-    """Parse a complete binary NetLog document into an event list."""
-    return list(
-        iter_events_binary(source, strict=strict, stats=stats, verify=verify)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1094,19 +753,13 @@ def read_binary_header(source: bytes | IO[bytes]) -> dict | None:
     — the binary counterpart of
     :meth:`~repro.netlog.archive.NetLogArchive.read_meta`'s tolerance.
     """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        view = memoryview(source)
-        if bytes(view[: len(MAGIC)]) != MAGIC:
-            return None
-        frames = _iter_frames_buffer(view)
-    else:
-        if source.read(len(MAGIC)) != MAGIC:
-            return None
-        frames = _iter_frames_file(source)
     try:
-        for tag, payload in frames:
+        fp = _open(source, False, None)
+        if fp is None:
+            return None
+        for tag, payload in _frames(fp):
             if tag == TAG_HEADER:
-                decoded = _loads(bytes(payload))
+                decoded = _loads(payload)
                 return decoded if isinstance(decoded, dict) else None
             return None  # first frame was not an (intact) header
     except (_Framing, ValueError):
@@ -1116,118 +769,42 @@ def read_binary_header(source: bytes | IO[bytes]) -> dict | None:
 
 def read_binary_document(
     source: bytes | IO[bytes],
-    *,
-    strict: bool = True,
 ) -> tuple[dict | None, list[dict], dict | None]:
     """Materialise one binary document as ``(header, records, trailer)``.
 
     The transcoder's whole-document read path: records are raw
     JSON-shaped dicts with stored crc/chain preserved, the header and
-    trailer are the decoded frame payloads (None when absent).  With
-    ``strict=True`` any damage raises; the lenient mode salvages like
-    :func:`iter_binary_records`.
+    trailer are the decoded frame payloads (None when absent).  Any
+    damage raises :class:`NetLogParseError`; truncation raises
+    :class:`NetLogTruncationError`.
     """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        view = memoryview(source)
-        if bytes(view[: len(MAGIC)]) != MAGIC:
-            raise NetLogParseError("not a binary NetLog document (bad magic)")
-        frames = _iter_frames_buffer(view)
-    else:
-        if source.read(len(MAGIC)) != MAGIC:
-            raise NetLogParseError("not a binary NetLog document (bad magic)")
-        frames = _iter_frames_file(source)
+    fp = _open(source, True, None)
     header: dict | None = None
     trailer: dict | None = None
     records: list[dict] = []
     try:
-        for tag, payload in frames:
+        for tag, payload in _frames(fp):
+            if tag < 0:
+                raise NetLogIntegrityError(
+                    "frame CRC mismatch (in-place corruption)"
+                )
+            try:
+                if tag == TAG_EVENT:
+                    decoded = _record_from_payload(payload)
+                else:
+                    decoded = _loads(payload)
+            except (struct.error, ValueError) as exc:
+                raise NetLogParseError(
+                    f"malformed {_FRAME_KINDS[tag]} frame: {exc}"
+                ) from exc
             if tag == TAG_EVENT:
-                try:
-                    records.append(_record_from_payload(payload))
-                except (struct.error, ValueError) as exc:
-                    if strict:
-                        raise NetLogParseError(
-                            f"malformed event frame: {exc}"
-                        ) from exc
-            elif tag == TAG_HEADER:
-                try:
-                    decoded = _loads(bytes(payload))
-                except ValueError as exc:
-                    if strict:
-                        raise NetLogParseError(
-                            f"malformed header frame: {exc}"
-                        ) from exc
-                    decoded = None
-                if isinstance(decoded, dict):
-                    header = decoded
+                records.append(decoded)
             elif tag == TAG_TRAILER:
-                try:
-                    decoded = _loads(bytes(payload))
-                except ValueError as exc:
-                    if strict:
-                        raise NetLogParseError(
-                            f"malformed trailer frame: {exc}"
-                        ) from exc
-                    decoded = None
                 if isinstance(decoded, dict):
                     trailer = decoded
                 break
-            else:
-                if strict:
-                    raise NetLogIntegrityError(
-                        "frame CRC mismatch (in-place corruption)"
-                    )
+            elif isinstance(decoded, dict):
+                header = decoded
     except _Framing as exc:
-        if strict:
-            raise NetLogTruncationError(exc.detail) from exc
+        raise NetLogTruncationError(exc.detail) from exc
     return header, records, trailer
-
-
-def iter_binary_records(
-    source: bytes | IO[bytes],
-    *,
-    strict: bool = False,
-    stats: ParseStats | None = None,
-) -> Iterator[dict]:
-    """Yield raw JSON-shaped record dicts (crc/chain preserved).
-
-    The transcoder's record-level read path: no event construction, no
-    vocabulary filtering — unknown event types pass through so foreign
-    documents convert losslessly.  Damage is handled like the event
-    parser (salvage the intact prefix, account the loss).
-    """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        view = memoryview(source)
-        if bytes(view[: len(MAGIC)]) != MAGIC:
-            raise NetLogParseError("not a binary NetLog document (bad magic)")
-        frames = _iter_frames_buffer(view)
-    else:
-        if source.read(len(MAGIC)) != MAGIC:
-            raise NetLogParseError("not a binary NetLog document (bad magic)")
-        frames = _iter_frames_file(source)
-    try:
-        for tag, payload in frames:
-            if tag == TAG_EVENT:
-                try:
-                    yield _record_from_payload(payload)
-                except (struct.error, ValueError) as exc:
-                    if strict:
-                        raise NetLogParseError(
-                            f"malformed event frame: {exc}"
-                        ) from exc
-                    if stats is not None:
-                        stats.dropped_malformed += 1
-            elif tag == -TAG_EVENT:
-                if strict:
-                    raise NetLogIntegrityError(
-                        "frame CRC mismatch (in-place corruption)"
-                    )
-                if stats is not None:
-                    stats.dropped_malformed += 1
-            elif tag == TAG_TRAILER:
-                break
-    except _Framing as exc:
-        if strict:
-            raise NetLogTruncationError(exc.detail) from exc
-        if stats is not None:
-            stats.truncated = True

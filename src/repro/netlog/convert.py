@@ -108,7 +108,7 @@ def to_json(source: "bytes | str | IO[str] | IO[bytes]") -> str:
     format_name, document = coerce_document(source)
     if format_name == FORMAT_JSON:
         return document  # type: ignore[return-value]
-    header, records, trailer = read_binary_document(document, strict=True)
+    header, records, trailer = read_binary_document(document)
     out = io.StringIO()
     out.write("{")
     extra = (header or {}).get("extra")

@@ -32,7 +32,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 from .. import obs
 from .constants import (
@@ -534,21 +534,42 @@ def iter_events(
     if not isinstance(raw_events, list):
         raise NetLogParseError("NetLog document missing 'events' array")
     verifier = ChainVerifier()
-    for record in raw_events:
+    yield from walk_records(
+        raw_events, event_names, verifier, strict=strict, stats=stats
+    )
+    verifier.check_trailer(
+        document.get("integrity"), strict=strict, stats=stats
+    )
+
+
+def walk_records(
+    records: Iterable[object],
+    event_names: dict[str, int],
+    verifier: ChainVerifier,
+    *,
+    strict: bool,
+    stats: ParseStats | None,
+) -> Iterator[NetLogEvent]:
+    """The one JSON record walk: verify each ``events`` slot, then parse it.
+
+    Both JSON readers feed it: the whole-document parser its decoded
+    ``events`` list, the streaming scanner each record as it reads it.
+    A slot that is not an object (a decoded non-object, or a record the
+    scanner could not decode or found cut by the end of input) has
+    nothing to hash: it is a gap in the chain and one malformed record.
+    The caller checks the trailer against ``verifier`` afterwards.
+    """
+    for record in records:
         if isinstance(record, dict):
             if not verifier.verify(record, strict=strict, stats=stats):
                 continue
         else:
-            # Non-dict slot: nothing to hash — a gap in the chain.
             verifier.mark_gap(stats)
         event = parse_record(
             record, event_names=event_names, strict=strict, stats=stats
         )
         if event is not None:
             yield event
-    verifier.check_trailer(
-        document.get("integrity"), strict=strict, stats=stats
-    )
 
 
 def _parse_document(

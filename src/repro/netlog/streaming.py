@@ -31,7 +31,7 @@ from .parser import (
     NetLogParseError,
     NetLogTruncationError,
     ParseStats,
-    parse_record,
+    walk_records,
 )
 
 _CHUNK_SIZE = 64 * 1024
@@ -180,12 +180,13 @@ def iter_events_streaming(
 
     Accepts document text, document bytes, or a file object of either;
     the format is sniffed from the first byte.  Binary (``nlbin-v1``)
-    documents take the zero-copy frame scanner in
-    :mod:`repro.netlog.binary`; JSON documents take the incremental
+    documents take the frame loop in :mod:`repro.netlog.binary`, one
+    frame resident at a time; JSON documents take the incremental
     tokenizer below, which reads the top-level object key by key — the
     ``constants`` block is decoded (for the event-type name table), every
     other non-``events`` key is skipped without materialisation, and the
-    ``events`` array is walked object by object.
+    ``events`` array is fed record by record into the shared record walk
+    (:func:`~repro.netlog.parser.walk_records`).
 
     Unknown event types are skipped when ``strict`` is False (the
     default here, unlike the whole-document parser, because real Chrome
@@ -200,17 +201,8 @@ def iter_events_streaming(
     objects — while still tolerating truncation as above (a cut-off
     document never reaches its closing brace, so the check cannot fire).
     """
-    from .codec import FORMAT_BINARY, coerce_stream, sniff_format
+    from .codec import FORMAT_BINARY, coerce_stream
 
-    if isinstance(fp, (bytes, bytearray, memoryview)) and (
-        sniff_format(fp) == FORMAT_BINARY
-    ):
-        # In-memory binary documents skip the stream wrapper entirely so
-        # the fused zero-copy scanner sees the raw buffer.
-        from .binary import iter_events_binary
-
-        yield from iter_events_binary(fp, strict=strict, stats=stats)
-        return
     format_name, stream = coerce_stream(fp)
     if format_name == FORMAT_BINARY:
         from .binary import iter_events_binary
@@ -279,8 +271,12 @@ def _iter_document(
             event_names = constants.get("logEventTypes") or {}
         elif key == "events" and first == "[":
             saw_events = True
-            yield from _iter_array_events(
-                scanner, event_names, strict, stats, verifier
+            yield from walk_records(
+                _iter_array_records(scanner, strict),
+                event_names,
+                verifier,
+                strict=strict,
+                stats=stats,
             )
         elif key == "integrity" and first == "{":
             raw = _read_balanced_object(scanner)
@@ -293,15 +289,14 @@ def _iter_document(
             _skip_value(scanner, first)
 
 
-def _iter_array_events(
-    scanner: _Scanner,
-    event_names: dict[str, int],
-    strict: bool,
-    stats: ParseStats | None,
-    verifier: ChainVerifier | None = None,
-) -> Iterator[NetLogEvent]:
-    if verifier is None:
-        verifier = ChainVerifier()
+def _iter_array_records(scanner: _Scanner, strict: bool) -> Iterator[object]:
+    """Yield each record of an ``events`` array as it is read.
+
+    A record is yielded decoded, or as None when it cannot be decoded or
+    is cut by the end of input (strict mode raises instead); the record
+    walk counts None as a malformed record and a chain gap.  A cut record
+    is followed by the truncation error.
+    """
     while True:
         ch = scanner.read_nonspace()
         if ch == "]":
@@ -316,9 +311,8 @@ def _iter_array_events(
             raw = _read_balanced_object(scanner)
         except NetLogTruncationError:
             # The cut fell inside this record: its prefix is unusable.
-            if not strict and stats is not None:
-                stats.dropped_malformed += 1
-                verifier.mark_gap(stats)
+            if not strict:
+                yield None
             raise
         try:
             record = json.loads(raw)
@@ -327,17 +321,8 @@ def _iter_array_events(
                 raise NetLogParseError(f"malformed event object: {exc}") from exc
             # Balanced but undecodable (in-place corruption): the stream
             # is still in sync after the closing brace, so keep walking.
-            if stats is not None:
-                stats.dropped_malformed += 1
-            verifier.mark_gap(stats)
-            continue
-        if not verifier.verify(record, strict=strict, stats=stats):
-            continue
-        event = parse_record(
-            record, event_names=event_names, strict=strict, stats=stats
-        )
-        if event is not None:
-            yield event
+            record = None
+        yield record
 
 
 def count_event_types(fp: IO[str]) -> dict[EventType, int]:

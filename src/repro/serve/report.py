@@ -83,7 +83,7 @@ def analyze_report(
     seen = 0
     try:
         # The streaming layer sniffs the upload's format from its magic
-        # byte: binary documents take the zero-copy scanner, JSON is
+        # byte: binary documents take the binary frame loop, JSON is
         # decoded with errors="replace" so torn multi-byte sequences at
         # a truncation point degrade to U+FFFD and the salvage parser
         # drops that record, exactly as the batch CLI does reading the

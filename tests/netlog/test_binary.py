@@ -6,13 +6,13 @@ padding, a cut inside a record, bit flips, spliced-out records — must
 produce the analogous :class:`ParseStats` accounting, and the lossless
 transcoder must round-trip our own documents byte for byte.
 
-Parse tests run against both the in-memory fused scanner (bytes input)
-and the generic frame loop (file input), which must stay semantically
-identical.
+Parse tests run the one frame loop from both sources it accepts,
+document bytes and a file object, which must give identical results.
 """
 
 import io
 import json
+import zlib
 
 import pytest
 
@@ -37,9 +37,13 @@ from repro.netlog import (
 )
 from repro.netlog.binary import (
     _FRAME_HEAD,
+    _INTEGRITY,
+    _PRELUDE,
+    FLAG_INTEGRITY,
     MAGIC,
     TAG_EVENT,
 )
+from repro.netlog.parallel import verify_document
 
 
 def _event(time=0.0, source_id=1, params=None):
@@ -66,8 +70,8 @@ def checksummed():
     return dumps_binary(_events(), checksums=True)
 
 
-# Every parse test runs through both scanner implementations: the fused
-# zero-copy loop (bytes) and the generic frame loop (file object).
+# Every parse test runs from both sources the frame loop accepts:
+# document bytes and a file object.
 @pytest.fixture(params=["bytes", "file"])
 def source_of(request):
     if request.param == "bytes":
@@ -268,6 +272,59 @@ class TestChecksummedCorruption:
             fast = _parse(damage, source_of, ParseStats())
             full = _parse(damage, source_of, ParseStats(), verify="full")
             assert fast == full
+
+
+def _with_params(data, record_index, params):
+    """Rewrite one event frame's params bytes under a valid frame CRC."""
+    offset, length = _event_frame_offsets(data)[record_index]
+    start = offset + _FRAME_HEAD.size
+    payload = data[start : start + length]
+    body = _PRELUDE.size
+    if payload[_PRELUDE.size - 1] & FLAG_INTEGRITY:
+        body += _INTEGRITY.size
+    payload = payload[:body] + params
+    frame = _FRAME_HEAD.pack(TAG_EVENT, len(payload), zlib.crc32(payload))
+    return data[:offset] + frame + payload + data[start + length :]
+
+
+class TestParamsNotJson:
+    """A CRC-valid event frame whose params bytes are not JSON, as a
+    buggy or foreign writer would produce: one malformed record in both
+    regimes, and in the full regime also a chain gap."""
+
+    @pytest.fixture(
+        params=[b"{not json", b'{"url":"a"}{"url":"b"}', b"\xff\xfe"],
+        ids=["not-json", "trailing-bytes", "not-utf8"],
+    )
+    def damaged(self, request):
+        data = dumps_binary(_events(3), checksums=True)
+        return _with_params(data, 1, request.param)
+
+    def test_full_regime_accounts_like_the_json_walk(self, damaged, source_of):
+        stats = ParseStats()
+        events = _parse(damaged, source_of, stats, verify="full")
+        assert [e.time for e in events] == [0.0, 2.0]
+        assert stats == ParseStats(
+            parsed=2, dropped_malformed=1, verified=2, first_divergence=1
+        )
+
+    def test_fast_regime_drops_the_record(self, damaged, source_of):
+        stats = ParseStats()
+        events = _parse(damaged, source_of, stats)
+        assert [e.time for e in events] == [0.0, 2.0]
+        assert stats == ParseStats(parsed=2, dropped_malformed=1, verified=3)
+
+    def test_fsck_reads_past_the_record(self, damaged, tmp_path):
+        path = tmp_path / "doc.nlbin"
+        path.write_bytes(damaged)
+        assert verify_document(path) == ParseStats(
+            parsed=2, dropped_malformed=1, verified=2, first_divergence=1
+        )
+
+    @pytest.mark.parametrize("verify", ["fast", "full"])
+    def test_strict_mode_raises_parse_error(self, damaged, source_of, verify):
+        with pytest.raises(NetLogParseError, match="malformed params"):
+            _parse(damaged, source_of, strict=True, verify=verify)
 
 
 class TestTranscoding:
