@@ -68,9 +68,10 @@ from .parser import (
 from .writer import (
     CHAIN_SEED,
     CHECKSUM_ALGORITHM,
-    build_constants,
-    canonical_record_bytes,
-    event_to_record,
+    canonical_event_bytes,
+    constants_json,
+    encode_compact,
+    encode_json,
 )
 
 #: Format identifier, embedded in every header frame.
@@ -108,7 +109,6 @@ _EVENT_TYPE_OF: dict[int, EventType] = {int(e): e for e in EventType}
 _SOURCE_TYPE_OF: dict[int, SourceType] = {int(s): s for s in SourceType}
 _PHASE_OF: dict[int, EventPhase] = {int(p): p for p in EventPhase}
 
-_dumps = json.dumps
 _loads = json.loads
 _crc32 = zlib.crc32
 
@@ -161,15 +161,14 @@ def write_binary_head(
     byte.  ``constants`` overrides the native tables (the transcoder
     passes a foreign document's own block through unchanged).
     """
-    head: dict = {"format": BINARY_FORMAT}
-    if extra is not None:
-        head["extra"] = extra
-    head["timeTickOffset"] = time_origin_ms
-    head["constants"] = (
-        constants if constants is not None else build_constants(time_origin_ms)
+    extra_json = "" if extra is None else f'"extra": {encode_json(extra)}, '
+    head = (
+        f'{{"format": {encode_json(BINARY_FORMAT)}, {extra_json}'
+        f'"timeTickOffset": {encode_json(time_origin_ms)}, '
+        f'"constants": {constants_json(time_origin_ms, constants)}}}'
     )
     fp.write(MAGIC)
-    fp.write(_frame(TAG_HEADER, _dumps(head).encode("utf-8")))
+    fp.write(_frame(TAG_HEADER, head.encode("utf-8")))
 
 
 def write_binary_tail(
@@ -187,7 +186,7 @@ def write_binary_tail(
             "events": count,
             "chain": chain,
         }
-    fp.write(_frame(TAG_TRAILER, _dumps(trailer).encode("utf-8")))
+    fp.write(_frame(TAG_TRAILER, encode_json(trailer).encode("utf-8")))
 
 
 class BinaryRecordWriter:
@@ -211,68 +210,72 @@ class BinaryRecordWriter:
 
     def write(self, event: NetLogEvent) -> None:
         """Serialise one event, deriving integrity fields if checksummed."""
-        flags = 0
         integrity = b""
         if self.checksums:
-            payload = canonical_record_bytes(event_to_record(event))
-            crc = _crc32(payload)
+            payload = canonical_event_bytes(event)
             self.chain = _crc32(payload, self.chain)
-            integrity = _INTEGRITY.pack(crc, self.chain)
-            flags |= FLAG_INTEGRITY
-        params_bytes = b""
-        if event.params:
-            flags |= FLAG_PARAMS
-            params_bytes = _dumps(
-                event.params, separators=(",", ":")
-            ).encode("utf-8")
-        body = (
-            _PRELUDE.pack(
-                self.count,
-                float(event.time),
-                int(event.type),
-                event.source.id,
-                int(event.source.type),
-                int(event.phase),
-                flags,
-            )
-            + integrity
-            + params_bytes
+            integrity = _INTEGRITY.pack(_crc32(payload), self.chain)
+        source = event.source
+        self._write_frame(
+            event.time,
+            int(event.type),
+            source.id,
+            int(source.type),
+            int(event.phase),
+            integrity,
+            event.params,
         )
-        self.fp.write(_frame(TAG_EVENT, body))
-        self.count += 1
 
     def write_record(self, record: dict) -> None:
         """Serialise one JSON-shaped record dict, preserving stored
         crc/chain values and the int-ness of ``time`` (both matter for
         canonical-form equality when the document is verified or
         transcoded back)."""
-        time_value = record["time"]
         source = record["source"]
-        params = record.get("params")
         crc = record.get("crc")
         chain = record.get("chain")
-        flags = 0
-        if isinstance(time_value, int) and not isinstance(time_value, bool):
-            flags |= FLAG_INT_TIME
         integrity = b""
         if crc is not None and chain is not None:
             integrity = _INTEGRITY.pack(int(crc), int(chain))
-            flags |= FLAG_INTEGRITY
             self.chain = int(chain)
+        self._write_frame(
+            record["time"],
+            int(record["type"]),
+            int(source["id"]),
+            int(source.get("type", 0)),
+            int(record.get("phase", 0)),
+            integrity,
+            record.get("params"),
+        )
+
+    def _write_frame(
+        self,
+        time_value: float,
+        type_code: int,
+        source_id: int,
+        source_type: int,
+        phase: int,
+        integrity: bytes,
+        params: object,
+    ) -> None:
+        """Pack one event frame.  ``FLAG_INT_TIME`` keeps an int ``time``
+        an int when the frame is decoded back to a record, as the
+        canonical form (``7``, not ``7.0``) the crc covers requires."""
+        flags = FLAG_INTEGRITY if integrity else 0
+        if isinstance(time_value, int) and not isinstance(time_value, bool):
+            flags |= FLAG_INT_TIME
         params_bytes = b""
         if params:
             flags |= FLAG_PARAMS
-            params_bytes = _dumps(params, separators=(",", ":")).encode(
-                "utf-8"
-            )
+            params_bytes = encode_compact(params).encode("utf-8")
         body = (
             _PRELUDE.pack(
                 self.count,
                 float(time_value),
-                int(record["type"]),
-                int(source["id"]),
-                int(source.get("type", 0)),
-                int(record.get("phase", 0)),
+                type_code,
+                source_id,
+                source_type,
+                phase,
                 flags,
             )
             + integrity

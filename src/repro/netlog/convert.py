@@ -31,6 +31,7 @@ from .binary import (
 )
 from .codec import FORMAT_BINARY, FORMAT_JSON, coerce_document, get_codec
 from .parser import NetLogParseError
+from .writer import encode_json, write_document_head
 
 
 def to_binary(source: "bytes | str | IO[str] | IO[bytes]") -> bytes:
@@ -91,52 +92,37 @@ def to_binary(source: "bytes | str | IO[str] | IO[bytes]") -> bytes:
             ) from exc
     if not isinstance(trailer, dict):
         trailer = {"events": writer.count}
-    out.write(
-        _frame(TAG_TRAILER, json.dumps(trailer).encode("utf-8"))
-    )
+    out.write(_frame(TAG_TRAILER, encode_json(trailer).encode("utf-8")))
     return out.getvalue()
 
 
 def to_json(source: "bytes | str | IO[str] | IO[bytes]") -> str:
     """Transcode any NetLog document to the JSON format.
 
-    A JSON input is returned unchanged.  The head is rebuilt in the JSON
-    writer's exact shape (extras, then ``constants``, then the events
-    array) from the binary header's preserved content, so documents our
-    own capture path wrote round-trip byte for byte.
+    A JSON input is returned unchanged.  The head is written by the JSON
+    writer's own :func:`~repro.netlog.writer.write_document_head` from the
+    binary header's preserved extras and constants block, so documents
+    our own capture path wrote round-trip byte for byte.
     """
     format_name, document = coerce_document(source)
     if format_name == FORMAT_JSON:
         return document  # type: ignore[return-value]
     header, records, trailer = read_binary_document(document)
+    header = header or {}
+    extra = header.get("extra")
+    constants = header.get("constants")
+    origin = header.get("timeTickOffset")
     out = io.StringIO()
-    out.write("{")
-    extra = (header or {}).get("extra")
-    if isinstance(extra, dict):
-        for key, value in extra.items():
-            out.write(json.dumps(key))
-            out.write(": ")
-            json.dump(value, out)
-            out.write(", ")
-    constants = (header or {}).get("constants")
-    if not isinstance(constants, dict):
-        from .writer import build_constants
-
-        origin = (header or {}).get("timeTickOffset")
-        constants = build_constants(
-            origin if isinstance(origin, (int, float)) else 0.0
-        )
-    out.write('"constants": ')
-    json.dump(constants, out)
-    out.write(', "events": [')
-    for index, record in enumerate(records):
-        if index:
-            out.write(",\n")
-        json.dump(record, out)
+    write_document_head(
+        out,
+        time_origin_ms=origin if isinstance(origin, (int, float)) else 0.0,
+        extra=extra if isinstance(extra, dict) else None,
+        constants=constants if isinstance(constants, dict) else None,
+    )
+    out.write(",\n".join(map(encode_json, records)))
     out.write("]")
     if trailer is not None and trailer.keys() != {"events"}:
-        out.write(', "integrity": ')
-        json.dump(trailer, out)
+        out.write(f', "integrity": {encode_json(trailer)}')
     out.write("}")
     return out.getvalue()
 

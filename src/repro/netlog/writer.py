@@ -24,6 +24,13 @@ metadata that the parsers verify and ``repro fsck`` audits:
 Both additions are backward compatible: the fields ride inside otherwise
 ordinary records and an unknown top-level key, so checksummed documents
 parse everywhere plain ones do.
+
+The writers encode each event once, straight from its fields:
+:func:`canonical_event_bytes` is the checksummed form and
+:class:`RecordWriter` formats the record text around one C-level encode
+of the params, with no intermediate record dict.
+:func:`event_to_record` and :func:`canonical_record_bytes` remain the
+verifier's form of the same bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from __future__ import annotations
 import io
 import json
 import zlib
-from typing import IO, Iterable
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import IO, Callable, Iterable
 
 from .constants import (
     EVENT_TYPE_NAMES,
@@ -70,6 +78,75 @@ def canonical_record_bytes(record: dict) -> bytes:
     )
 
 
+def _json_encoder(
+    item_separator: str, key_separator: str, *, sort_keys: bool = False
+) -> Callable[[object], str]:
+    """A reusable encoder whose output equals ``json.dumps`` with these
+    separators.
+
+    ``json.dumps`` builds a fresh C encoder on every call, and
+    ``json.dump`` runs the pure-Python one; the writers' per-event
+    encodes instead share one C encoder built here.  It skips the
+    circular-reference check: event params are trees.
+    """
+    options = json.JSONEncoder(
+        sort_keys=sort_keys, separators=(item_separator, key_separator)
+    )
+    if c_make_encoder is None:  # an interpreter without the C accelerator
+        return options.encode
+    encoder = c_make_encoder(
+        None,
+        options.default,
+        encode_basestring_ascii,
+        None,
+        key_separator,
+        item_separator,
+        sort_keys,
+        False,
+        True,
+    )
+    return lambda value: "".join(encoder(value, 0))
+
+
+#: ``json.dumps`` with its default separators: record text, document
+#: heads and trailers.
+encode_json = _json_encoder(", ", ": ")
+#: Compact form: the binary format's params payload.
+encode_compact = _json_encoder(",", ":")
+#: Compact form with sorted keys: params inside a canonical record.
+_encode_canonical = _json_encoder(",", ":", sort_keys=True)
+
+
+def _scalar(value: object) -> str:
+    """``json.dumps(value)`` for a record's ``time`` or source id.
+
+    A plain int or finite float encodes as its ``repr``, as in the C
+    encoder; anything else goes through the encoder itself.
+    """
+    if type(value) is int or (type(value) is float and value - value == 0.0):
+        return repr(value)
+    return encode_json(value)
+
+
+def canonical_event_bytes(event: NetLogEvent) -> bytes:
+    """``canonical_record_bytes(event_to_record(event))``, encoded directly.
+
+    The canonical keys sort as ``params``, ``phase``, ``source``,
+    ``time``, ``type``, so only the params need a ``sort_keys`` encode;
+    the scalar fields are formatted in place.  This is the one place the
+    writers compute an event's checksummed form.
+    """
+    source = event.source
+    fields = (
+        f'"phase":{int(event.phase)},"source":{{"id":{_scalar(source.id)},'
+        f'"type":{int(source.type)}}},"time":{_scalar(event.time)},'
+        f'"type":{int(event.type)}}}'
+    )
+    if event.params:
+        fields = f'"params":{_encode_canonical(event.params)},{fields}'
+    return ("{" + fields).encode("utf-8")
+
+
 def event_to_record(event: NetLogEvent) -> dict:
     """Convert one event to its JSON-serialisable record."""
     record: dict = {
@@ -94,45 +171,59 @@ def build_constants(time_origin_ms: float = 0.0) -> dict:
     }
 
 
+#: The native constants block at the default time origin, as JSON text.
+_NATIVE_CONSTANTS_JSON = encode_json(build_constants(0.0))
+
+
+def constants_json(
+    time_origin_ms: float = 0.0, constants: dict | None = None
+) -> str:
+    """The ``constants`` block as JSON text, for both document heads.
+
+    ``constants`` is encoded as given; otherwise the native tables at
+    ``time_origin_ms``, pre-encoded for the default origin ``0.0``.
+    """
+    if constants is not None:
+        return encode_json(constants)
+    if type(time_origin_ms) is float and repr(time_origin_ms) == "0.0":
+        return _NATIVE_CONSTANTS_JSON
+    return encode_json(build_constants(time_origin_ms))
+
+
 def write_document_head(
     fp: IO[str],
     *,
     time_origin_ms: float = 0.0,
     extra: dict | None = None,
+    constants: dict | None = None,
 ) -> None:
     """Open a NetLog document: extra keys, ``constants``, ``"events": [``.
 
     ``extra`` adds top-level keys (e.g. a visit-metadata block) ahead of
     the ``constants`` header; both parsers skip keys they do not model.
+    ``constants`` overrides the native tables (the transcoder passes a
+    foreign document's own block through unchanged).
     """
-    fp.write("{")
+    parts = ["{"]
     if extra:
         for key, value in extra.items():
-            fp.write(json.dumps(key))
-            fp.write(": ")
-            json.dump(value, fp)
-            fp.write(", ")
-    fp.write('"constants": ')
-    json.dump(build_constants(time_origin_ms), fp)
-    fp.write(', "events": [')
+            parts.append(f"{encode_json(key)}: {encode_json(value)}, ")
+    parts.append(
+        f'"constants": {constants_json(time_origin_ms, constants)}, '
+        '"events": ['
+    )
+    fp.write("".join(parts))
 
 
 def write_document_tail(
     fp: IO[str], *, checksums: bool = False, count: int = 0, chain: int = CHAIN_SEED
 ) -> None:
     """Close the ``events`` array and, when checksummed, add the trailer."""
-    fp.write("]")
     if checksums:
-        fp.write(', "integrity": ')
-        json.dump(
-            {
-                "algorithm": CHECKSUM_ALGORITHM,
-                "events": count,
-                "chain": chain,
-            },
-            fp,
-        )
-    fp.write("}")
+        trailer = {"algorithm": CHECKSUM_ALGORITHM, "events": count, "chain": chain}
+        fp.write(f'], "integrity": {encode_json(trailer)}}}')
+    else:
+        fp.write("]}")
 
 
 class RecordWriter:
@@ -154,15 +245,23 @@ class RecordWriter:
         self.chain = CHAIN_SEED
 
     def write(self, event: NetLogEvent) -> None:
-        record = event_to_record(event)
+        """Append one record: the text ``json.dump`` of its record dict
+        would write, formatted around one C encode of the params."""
+        source = event.source
+        text = (
+            f'{{"time": {_scalar(event.time)}, "type": {int(event.type)}, '
+            f'"source": {{"id": {_scalar(source.id)}, '
+            f'"type": {int(source.type)}}}, "phase": {int(event.phase)}'
+        )
+        if event.params:
+            text += f', "params": {encode_json(event.params)}'
         if self.checksums:
-            payload = canonical_record_bytes(record)
-            record["crc"] = zlib.crc32(payload)
+            payload = canonical_event_bytes(event)
             self.chain = zlib.crc32(payload, self.chain)
-            record["chain"] = self.chain
-        if self.count:
-            self.fp.write(",\n")
-        json.dump(record, self.fp)
+            text += f', "crc": {zlib.crc32(payload)}, "chain": {self.chain}}}'
+        else:
+            text += "}"
+        self.fp.write(",\n" + text if self.count else text)
         self.count += 1
 
 

@@ -327,6 +327,37 @@ class TestParamsNotJson:
             _parse(damaged, source_of, strict=True, verify=verify)
 
 
+class TestIntTime:
+    """Binary capture of an int ``time``: the chain covers the canonical
+    ``"time":7``, so the frame must carry ``FLAG_INT_TIME`` for a decoder
+    to rebuild ``7`` rather than ``7.0``."""
+
+    @pytest.fixture()
+    def events(self):
+        return [
+            _event(time=0.0, source_id=1),
+            _event(time=7, source_id=2),
+            _event(time=8.5, source_id=3),
+        ]
+
+    def test_full_regime_verifies(self, events, source_of):
+        stats = ParseStats()
+        data = dumps_binary(events, checksums=True)
+        assert _parse(data, source_of, stats, verify="full") == events
+        assert stats == ParseStats(parsed=3, verified=3)
+
+    def test_fsck_verifies(self, events, tmp_path):
+        path = tmp_path / "doc.nlbin"
+        path.write_bytes(dumps_binary(events, checksums=True))
+        assert verify_document(path) == ParseStats(parsed=3, verified=3)
+
+    def test_transcodes_to_the_json_writer_document(self, events):
+        text = dumps(events, checksums=True)
+        data = dumps_binary(events, checksums=True)
+        assert to_json(data) == text
+        assert to_binary(text) == data
+
+
 class TestTranscoding:
     @pytest.mark.parametrize("checksums", [False, True])
     def test_json_binary_json_byte_identical(self, checksums):
