@@ -1,72 +1,37 @@
-"""Command-line interface for the Knock-and-Talk reproduction.
+"""The ``repro`` command line (``python -m repro.cli``); every subcommand
+and option is listed in docs/API.md.
 
-Four subcommands:
-
-``repro analyze NETLOG.json``
-    Detect and classify local network traffic in a NetLog dump (works on
-    output of ``chrome --log-net-log=...`` for the modelled event types).
-
-``repro study [--scale S] [--population top2020|top2021|malicious]``
-    Run a measurement campaign and print the RQ1/RQ2/RQ3 headline
-    numbers.
-
-``repro fsck --db PATH [--netlog-dir DIR] [--repair]``
-    Audit a campaign database (and its NetLog archive) for at-rest
-    corruption; with ``--repair``, apply tiered self-repair.
-
-``repro metrics SNAPSHOT.json``
-    Render a metrics snapshot (written by ``repro study
-    --metrics-out``) as a human-readable table.
-
-``repro chaos run|coverage|replay``
-    Coverage-guided chaos conformance: sweep every registered fault
-    seam under generated schedules, render the coverage report, replay
-    a shrunk minimal repro.
-
-``repro table N [--scale S]``
-    Regenerate paper Table N (1–11).
-
-``repro figure N [--scale S]``
-    Regenerate paper Figure N (2–9).
-
-Installed as the ``repro`` console script; also runnable via
-``python -m repro.cli``.
+Every subcommand is one handler that takes the parsed namespace.  A
+handler that cannot run raises :class:`UsageError`; :func:`main` alone
+turns it into ``error:`` lines and ``EXIT_USAGE``.  What a handler opens
+(stores, temporary directories, observability, signal handlers) it
+registers on ``args.cleanup``, which :func:`main` closes after reporting
+the outcome, so an error line precedes any closing chatter.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Iterator, Sequence
 
 from .analysis import figures, rq1, rq3, tables
 from .core.addresses import Locality
-from .core.classifier import BehaviorClassifier
-from .core.detector import LocalTrafficDetector
+from .core.document import analyze_document
 from .crawler.campaign import CampaignResult, run_campaign
-from .netlog import NetLogParseError, ParseStats
-from .netlog.streaming import iter_events_streaming
+from .crawler.shard import PopulationSpec
+from .netlog import NetLogParseError
 from .web import seeds as S
-from .web.population import (
-    build_malicious_population,
-    build_top_population,
-)
 
 _DEFAULT_SCALE = 0.02
 
-#: Exit-code convention, uniform across every subcommand (the full
-#: table lives in docs/API.md):
-#:
-#: * ``EXIT_OK`` — the command did what was asked;
-#: * ``EXIT_ISSUES`` — the command ran, and what it checked has real
-#:   findings (fsck corruption, validation failures, a drain that
-#:   timed out);
-#: * ``EXIT_USAGE`` — the command could not run: bad flags, unreadable
-#:   or invalid input, broken configuration.  Diagnostics go to stderr.
-#: * ``EXIT_INTERRUPTED`` — stopped by SIGINT/SIGTERM mid-work
-#:   (128 + SIGINT), after checkpointing.  A *graceful* daemon drain is
-#:   ``EXIT_OK``: shutting a server down via signal is its normal exit.
+#: Exit codes, uniform across every subcommand (docs/API.md has the
+#: table): ``EXIT_ISSUES`` — the command ran and found real problems;
+#: ``EXIT_USAGE`` — it could not run (see :class:`UsageError`);
+#: ``EXIT_INTERRUPTED`` — 128 + SIGINT, after checkpointing.  A graceful
+#: daemon drain on a signal is ``EXIT_OK``, the daemon's normal exit.
 EXIT_OK = 0
 EXIT_ISSUES = 1
 EXIT_USAGE = 2
@@ -75,6 +40,28 @@ EXIT_INTERRUPTED = 130
 #: Valid ``repro table`` identifiers: the paper's 1–11 plus the WebRTC
 #: era tables (5W/6W) and the era-comparison table (W).
 _TABLE_IDS = tuple(str(n) for n in range(1, 12)) + ("5W", "6W", "W")
+
+#: Options several subcommands declare identically.
+_SCALE = {"type": float, "default": _DEFAULT_SCALE}
+_CHAOS_SCALE = {
+    "type": float,
+    "default": 0.001,
+    "help": "population scale for the conformance campaigns",
+}
+_STORE = {"required": True, "metavar": "PATH"}
+_FAULT_PLAN = {
+    "default": None,
+    "metavar": "PATH",
+    "help": "inject faults from this JSON plan (chaos testing)",
+}
+
+
+class UsageError(Exception):
+    """The request cannot run: bad flags, unusable input or configuration.
+
+    :func:`main` prints each argument as one ``error:`` line on stderr
+    and exits ``EXIT_USAGE``.
+    """
 
 
 def _table_id(value: str) -> str:
@@ -94,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="detect/classify local traffic in NetLog documents "
         "(JSON or binary, auto-detected)",
     )
+    analyze.set_defaults(run=_cmd_analyze)
     analyze.add_argument(
         "netlog",
         nargs="+",
@@ -116,12 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     study = sub.add_parser("study", help="run a measurement campaign")
+    study.set_defaults(run=_cmd_study)
     study.add_argument(
         "--population",
         choices=("top2020", "top2021", "malicious"),
         default="top2020",
     )
-    study.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
+    study.add_argument("--scale", **_SCALE)
     study.add_argument(
         "--webrtc-policy",
         choices=("pre-m74", "mdns"),
@@ -164,12 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "REPRO_NETLOG_FORMAT env var, else json); detection results are "
         "byte-identical in either format",
     )
-    study.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PATH",
-        help="inject faults from this JSON plan (chaos testing)",
-    )
+    study.add_argument("--fault-plan", **_FAULT_PLAN)
     study.add_argument(
         "--workers",
         type=int,
@@ -243,14 +227,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dl_sub = deadletter.add_subparsers(dest="dl_command", required=True)
     dl_list = dl_sub.add_parser("list", help="show quarantined visits")
-    dl_list.add_argument("--db", required=True, metavar="PATH")
-    dl_list.add_argument("--crawl", default=None, help="filter by crawl name")
+    dl_list.set_defaults(run=_cmd_deadletter_list)
     dl_retry = dl_sub.add_parser(
         "retry",
         help="clear quarantine rows so a --resume run re-attempts them",
     )
-    dl_retry.add_argument("--db", required=True, metavar="PATH")
-    dl_retry.add_argument("--crawl", default=None, help="filter by crawl name")
+    dl_retry.set_defaults(run=_cmd_deadletter_retry)
+    for dl_command in (dl_list, dl_retry):
+        dl_command.add_argument("--db", **_STORE)
+        dl_command.add_argument("--crawl", default=None, help="filter by crawl name")
     dl_retry.add_argument("--domain", default=None, help="filter by domain")
 
     chaos = sub.add_parser(
@@ -262,6 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "run",
         help="run a bounded conformance sweep over every registered fault seam",
     )
+    chaos_run.set_defaults(run=_cmd_chaos_run)
     chaos_run.add_argument(
         "--seed",
         default="chaos-conformance",
@@ -274,12 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="maximum schedules to execute (default 40)",
     )
-    chaos_run.add_argument(
-        "--scale",
-        type=float,
-        default=0.001,
-        help="population scale for the conformance campaigns",
-    )
+    chaos_run.add_argument("--scale", **_CHAOS_SCALE)
     chaos_run.add_argument(
         "--drivers",
         default=None,
@@ -302,23 +283,21 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos_cov = chaos_sub.add_parser(
         "coverage", help="render a saved coverage report"
     )
+    chaos_cov.set_defaults(run=_cmd_chaos_coverage)
     chaos_cov.add_argument("report", metavar="REPORT.json")
     chaos_replay = chaos_sub.add_parser(
         "replay", help="re-run a shrunk minimal repro plan"
     )
+    chaos_replay.set_defaults(run=_cmd_chaos_replay)
     chaos_replay.add_argument("repro", metavar="REPRO.json")
-    chaos_replay.add_argument(
-        "--scale",
-        type=float,
-        default=0.001,
-        help="population scale for the conformance campaigns",
-    )
+    chaos_replay.add_argument("--scale", **_CHAOS_SCALE)
 
     fsck = sub.add_parser(
         "fsck",
         help="audit (and repair) a campaign database + NetLog archive",
     )
-    fsck.add_argument("--db", required=True, metavar="PATH")
+    fsck.set_defaults(run=_cmd_fsck)
+    fsck.add_argument("--db", **_STORE)
     fsck.add_argument(
         "--netlog-dir",
         default=None,
@@ -339,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="population to re-visit damaged domains from (tier-2 repair)",
     )
-    fsck.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
+    fsck.add_argument("--scale", **_SCALE)
     fsck.add_argument(
         "--webrtc-policy",
         choices=("pre-m74", "mdns"),
@@ -372,6 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="losslessly transcode a document between the JSON and "
         "binary formats",
     )
+    nl_convert.set_defaults(run=_cmd_netlog_convert)
     nl_convert.add_argument("source", metavar="IN", help="input document")
     nl_convert.add_argument(
         "dest",
@@ -390,6 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="render a metrics snapshot written by study --metrics-out",
     )
+    metrics.set_defaults(run=_cmd_metrics)
     metrics.add_argument("snapshot", help="path to the JSON snapshot file")
 
     serve = sub.add_parser(
@@ -397,6 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the local-traffic analysis daemon (POST NetLog uploads "
         "to /v1/analyze)",
     )
+    serve.set_defaults(run=_cmd_serve)
     serve.add_argument("--port", type=int, default=8734, metavar="P")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -453,12 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run jobs interrupted by a crash and warm the result "
         "cache from the journal (requires --db)",
     )
-    serve.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PATH",
-        help="inject faults from this JSON plan (chaos testing)",
-    )
+    serve.add_argument("--fault-plan", **_FAULT_PLAN)
     serve.add_argument(
         "--drain-timeout",
         type=float,
@@ -471,6 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     table = sub.add_parser("table", help="regenerate a paper table")
+    table.set_defaults(run=_cmd_table)
     table.add_argument(
         "number",
         type=_table_id,
@@ -479,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="a paper table number, a WebRTC era table (5W = localhost "
         "leaks, 6W = LAN leaks), or W (pre-M74 vs mDNS era comparison)",
     )
-    table.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
+    table.add_argument("--scale", **_SCALE)
     table.add_argument(
         "--webrtc-policy",
         choices=("pre-m74", "mdns"),
@@ -488,13 +466,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
+    figure.set_defaults(run=_cmd_figure)
     figure.add_argument("number", type=int, choices=range(2, 10))
-    figure.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
+    figure.add_argument("--scale", **_SCALE)
 
     report = sub.add_parser(
         "report", help="run the full study and emit one report document"
     )
-    report.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
+    report.set_defaults(run=_cmd_report)
+    report.add_argument("--scale", **_SCALE)
     report.add_argument(
         "--output", "-o", default=None, help="write the report to a file"
     )
@@ -503,61 +483,124 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run the campaigns and score them against the paper's numbers",
     )
-    validate.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
+    validate.set_defaults(run=_cmd_validate)
+    validate.add_argument("--scale", **_SCALE)
 
     lint = sub.add_parser(
         "lint",
         help="lint a seeded site for local network requests (§5.4)",
     )
+    lint.set_defaults(run=_cmd_lint)
     lint.add_argument("domain", help="a domain from the seeded populations")
 
     return parser
 
 
 # ---------------------------------------------------------------------------
+# Shared plumbing
+# ---------------------------------------------------------------------------
+
+
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fp:
+            return fp.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _check_output(
+    path: str | None, *, directory: bool = False, makedirs: bool = False
+) -> None:
+    """Refuse an unusable output location before any work starts.
+
+    ``path`` names a file, or with ``directory`` a directory.  Its folder
+    must exist, unless its writer creates missing folders itself
+    (``makedirs``: stores, the NetLog archive); then the nearest existing
+    ancestor must be a directory.
+    """
+    if path is None:
+        return
+    folder = os.path.abspath(path if directory else os.path.dirname(path))
+    while makedirs and not os.path.lexists(folder):
+        folder = os.path.dirname(folder)
+    if not os.path.isdir(folder):
+        problem = "is not a directory" if os.path.lexists(folder) else "does not exist"
+        raise UsageError(f"cannot write {path}: {folder} {problem}")
+
+
+def _load_fault_plan(path: str | None):
+    from .faults import FaultPlan
+
+    if path is None:
+        return None
+    try:
+        with open(path) as fp:
+            return FaultPlan.load(fp)
+    except OSError as exc:
+        raise UsageError(f"cannot read fault plan: {exc}") from None
+    except ValueError as exc:
+        # Plan validation raises one actionable line naming the bad
+        # field/kind — show it verbatim, never a traceback.
+        raise UsageError(f"invalid fault plan: {exc}") from None
+
+
+def _open_store(args: argparse.Namespace, netlog_dir: str | None = None):
+    """Open an existing campaign store (and check its archive directory)
+    for the command's lifetime."""
+    import sqlite3
+
+    from .storage.db import TelemetryStore
+
+    if not os.path.exists(args.db):
+        raise UsageError(f"no such database: {args.db}")
+    if netlog_dir is not None and not os.path.isdir(netlog_dir):
+        raise UsageError(f"no such archive directory: {netlog_dir}")
+    try:
+        store = TelemetryStore(args.db)
+    except sqlite3.DatabaseError as exc:
+        raise UsageError(f"not a telemetry database: {args.db}: {exc}") from None
+    return args.cleanup.enter_context(store)
+
+
+def _population_spec(args: argparse.Namespace) -> PopulationSpec:
+    """The population a study crawls, or an fsck re-visit rebuilds."""
+    return PopulationSpec(args.population, args.scale, webrtc_policy=args.webrtc_policy)
+
+
+def _campaign(
+    population_name: str, scale: float, webrtc_policy: str | None = None
+) -> CampaignResult:
+    spec = PopulationSpec(population_name, scale, webrtc_policy=webrtc_policy)
+    return run_campaign(spec.build())
+
+
+# ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_analyze(
-    paths: "Sequence[str]",
-    *,
-    as_json: bool = False,
-    jobs: int | None = None,
-) -> int:
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    paths = args.netlog
     if len(paths) > 1:
-        if as_json:
-            print(
-                "error: --json emits one canonical report document and "
-                "takes exactly one file",
-                file=sys.stderr,
+        if args.json:
+            raise UsageError(
+                "--json emits one canonical report document and takes "
+                "exactly one file"
             )
-            return EXIT_USAGE
-        return _cmd_analyze_many(paths, jobs=jobs)
+        return _analyze_many(paths, args.jobs)
     path = paths[0]
-    if as_json:
-        return _cmd_analyze_json(path)
-    stats = ParseStats()
-    # Stream the document through the detection sink: events fold into
-    # flows as they decode, so analysis memory is bounded by the number
-    # of open flows, not the document size.  ``require_events`` keeps the
-    # historical exit code 2 for well-formed JSON that is not a NetLog
-    # document, while truncated documents still salvage.  Bytes mode lets
-    # the streaming layer sniff the document format from its magic byte.
-    sink = LocalTrafficDetector().sink()
+    if args.json:
+        return _analyze_json(path)
     try:
         with open(path, "rb") as fp:
-            for event in iter_events_streaming(
-                fp, strict=False, stats=stats, require_events=True
-            ):
-                sink.accept(event)
+            analysis = analyze_document(fp)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read {path}: {exc}") from None
     except NetLogParseError as exc:
-        print(f"error: not a NetLog document: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"not a NetLog document: {exc}") from None
 
-    detection = sink.finish()
+    stats, detection = analysis.stats, analysis.detection
     print(f"{stats.parsed} events, {detection.total_flows} request flows")
     if stats.damaged:
         # Diagnostics go to stderr so piped stdout stays clean results.
@@ -576,7 +619,7 @@ def _cmd_analyze(
             f"{request.scheme}://{request.host}:{request.port}"
             f"{request.path}{note}"
         )
-    verdict = BehaviorClassifier().classify(detection.requests)
+    verdict = analysis.verdict
     print(f"classification: {verdict.behavior.value}")
     if verdict.match:
         print(f"signature: {verdict.signature_name} "
@@ -584,7 +627,7 @@ def _cmd_analyze(
     return EXIT_OK
 
 
-def _cmd_analyze_many(paths: "Sequence[str]", *, jobs: int | None) -> int:
+def _analyze_many(paths: Sequence[str], jobs: int | None) -> int:
     """``repro analyze A B C``: one summary line per document.
 
     The per-document parse + detection fans out across ``--jobs`` worker
@@ -593,12 +636,10 @@ def _cmd_analyze_many(paths: "Sequence[str]", *, jobs: int | None) -> int:
     """
     from .netlog.parallel import analyze_paths
 
-    summaries = analyze_paths(paths, jobs=jobs)
-    failed = 0
-    for summary in summaries:
+    errors = []
+    for summary in analyze_paths(paths, jobs=jobs):
         if summary.error is not None:
-            failed += 1
-            print(f"error: {summary.path}: {summary.error}", file=sys.stderr)
+            errors.append(f"{summary.path}: {summary.error}")
             continue
         behavior = summary.behavior or "no-local-traffic"
         line = (
@@ -609,64 +650,12 @@ def _cmd_analyze_many(paths: "Sequence[str]", *, jobs: int | None) -> int:
         if summary.stats.damaged:
             line += f" [damaged: {summary.stats.describe()}]"
         print(line)
-    return EXIT_USAGE if failed else EXIT_OK
-
-
-def _cmd_netlog_convert(source: str, dest: str, to: str | None) -> int:
-    """``repro netlog convert IN OUT``: lossless format transcoding."""
-    import os
-
-    from .netlog.codec import codec_for_suffix, get_codec
-    from .netlog.convert import convert
-
-    if to is None:
-        suffix = os.path.splitext(dest)[1]
-        codec = codec_for_suffix(suffix)
-        if codec is None:
-            print(
-                f"error: cannot infer target format from {dest!r} "
-                "(use a .json/.nlbin suffix or pass --to)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        to = codec.name
-    try:
-        with open(source, "rb") as fp:
-            data = fp.read()
-    except OSError as exc:
-        print(f"error: cannot read {source}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        document = convert(data, to)
-    except NetLogParseError as exc:
-        print(
-            f"error: {source} is not a convertible NetLog document: {exc} "
-            "(repair damaged documents with `repro fsck` first)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    payload = (
-        document if isinstance(document, bytes) else document.encode("utf-8")
-    )
-    try:
-        if dest == "-":
-            sys.stdout.buffer.write(payload)
-        else:
-            with open(dest, "wb") as fp:
-                fp.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {dest}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if dest != "-":
-        codec = get_codec(to)
-        print(
-            f"{source} -> {dest} ({codec.name}, {len(payload)} bytes)",
-            file=sys.stderr,
-        )
+    if errors:
+        raise UsageError(*errors)
     return EXIT_OK
 
 
-def _cmd_analyze_json(path: str) -> int:
+def _analyze_json(path: str) -> int:
     """``repro analyze --json``: the serve byte-identity contract.
 
     stdout carries exactly the canonical report text — the same bytes
@@ -676,18 +665,11 @@ def _cmd_analyze_json(path: str) -> int:
     from .serve.report import ReportError, analyze_report, render_report
 
     try:
-        with open(path, "rb") as fp:
-            data = fp.read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        document = analyze_report(data)
+        document = analyze_report(_read_bytes(path))
     except ReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if document["parse"]["damaged"]:
-        parse = document["parse"]
+        raise UsageError(str(exc)) from None
+    parse = document["parse"]
+    if parse["damaged"]:
         print(
             "warning: damaged NetLog salvaged — "
             f"{parse['events']} events recovered, "
@@ -700,41 +682,61 @@ def _cmd_analyze_json(path: str) -> int:
     return EXIT_OK
 
 
-def _population(
-    population_name: str, scale: float, webrtc_policy: str | None = None
-):
-    if population_name == "malicious":
-        return build_malicious_population(scale=scale)
-    year = 2020 if population_name == "top2020" else 2021
-    return build_top_population(year, scale=scale, webrtc_policy=webrtc_policy)
+def _cmd_netlog_convert(args: argparse.Namespace) -> int:
+    """``repro netlog convert IN OUT``: lossless format transcoding."""
+    from .netlog.codec import codec_for_suffix
+    from .netlog.convert import convert
 
-
-def _campaign(
-    population_name: str, scale: float, webrtc_policy: str | None = None
-) -> CampaignResult:
-    return run_campaign(_population(population_name, scale, webrtc_policy))
+    source, dest, to = args.source, args.dest, args.to
+    if to is None:
+        codec = codec_for_suffix(os.path.splitext(dest)[1])
+        if codec is None:
+            raise UsageError(
+                f"cannot infer target format from {dest!r} "
+                "(use a .json/.nlbin suffix or pass --to)"
+            )
+        to = codec.name
+    data = _read_bytes(source)
+    try:
+        document = convert(data, to)
+    except NetLogParseError as exc:
+        raise UsageError(
+            f"{source} is not a convertible NetLog document: {exc} "
+            "(repair damaged documents with `repro fsck` first)"
+        ) from None
+    payload = (
+        document if isinstance(document, bytes) else document.encode("utf-8")
+    )
+    try:
+        if dest == "-":
+            sys.stdout.buffer.write(payload)
+            return EXIT_OK
+        with open(dest, "wb") as fp:
+            fp.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {dest}: {exc}") from None
+    print(f"{source} -> {dest} ({to}, {len(payload)} bytes)", file=sys.stderr)
+    return EXIT_OK
 
 
 @contextmanager
 def _study_observability(
-    total_visits: int,
-    metrics_out: str | None,
-    trace_out: str | None,
-    meta: dict,
-) -> Iterator[tuple]:
+    args: argparse.Namespace, total_visits: int, meta: dict
+) -> Iterator:
     """The progress line and optional metrics/trace outputs of one study.
 
-    Yields ``(progress, sink)``: the :class:`ProgressLine`, and the
-    :class:`PeriodicSink` that keeps the ``metrics_out`` snapshot at most
-    30 s stale during a long campaign (None without ``metrics_out``).  On
-    exit, however the study ends, the progress line finishes, the final
-    snapshot and the trace are written and their paths printed, and
-    observability is switched off again.
+    Yields ``advance(visits=1, *, error=False)``, which moves the
+    :class:`ProgressLine` and lets the :class:`PeriodicSink` keep the
+    ``--metrics-out`` snapshot at most 30 s stale during a long
+    campaign.  On exit, however the study ends, the progress line
+    finishes, the final snapshot and the trace are written and their
+    paths printed, and observability is switched off again.
     """
     from . import obs
     from .obs.export import PeriodicSink, write_trace
     from .obs.progress import ProgressLine
 
+    metrics_out, trace_out = args.metrics_out, args.trace_out
     observing = metrics_out is not None or trace_out is not None
     if observing:
         obs.enable()
@@ -744,8 +746,15 @@ def _study_observability(
         if metrics_out is not None
         else None
     )
+
+    def advance(visits: int = 1, *, error: bool = False) -> None:
+        for _ in range(visits):
+            progress.update(error=error)
+        if sink is not None:
+            sink.tick()
+
     try:
-        yield progress, sink
+        yield advance
     finally:
         progress.finish()
         if observing:
@@ -763,207 +772,95 @@ def _study_observability(
                 obs.disable()
 
 
-def _cmd_study(
-    population_name: str,
-    scale: float,
-    *,
-    webrtc_policy: str | None = None,
-    retries: int = 1,
-    db: str | None = None,
-    resume: bool = False,
-    netlog_dir: str | None = None,
-    netlog_format: str | None = None,
-    fault_plan: str | None = None,
-    workers: int = 0,
-    shards: int | None = None,
-    shard_dir: str | None = None,
-    visit_deadline: float | None = None,
-    quarantine_after: int = 3,
-    wall_deadline: float = 5.0,
-    metrics_out: str | None = None,
-    trace_out: str | None = None,
-) -> int:
-    from .crawler.campaign import Campaign
+def _cmd_study(args: argparse.Namespace) -> int:
+    """``repro study``: one campaign, serial or through the sharded fabric.
+
+    Both paths share the checks, the population, the observability and
+    the summary; they differ in how visits run and what the line above
+    the summary reports.
+    """
     from .crawler.executor import CampaignInterrupted, ExecutorConfig
-    from .crawler.retry import RetryPolicy
-    from .faults import FaultPlan
-    from .netlog.archive import NetLogArchive
-    from .storage.db import TelemetryStore
+    from .crawler.fabric import FabricError, resolve_shards
 
-    if resume and db is None:
-        print("error: --resume requires --db", file=sys.stderr)
-        return EXIT_USAGE
-    if webrtc_policy is not None and population_name == "malicious":
-        print(
-            "error: --webrtc-policy applies to top-list populations only "
-            "(the malicious sets carry no WebRTC seeds)",
-            file=sys.stderr,
+    if args.resume and args.db is None:
+        raise UsageError("--resume requires --db")
+    if args.webrtc_policy is not None and args.population == "malicious":
+        raise UsageError(
+            "--webrtc-policy applies to top-list populations only "
+            "(the malicious sets carry no WebRTC seeds)"
         )
-        return EXIT_USAGE
-    if retries < 1:
-        print(
-            f"error: --retries must be >= 1 (got {retries}; "
-            "1 = single attempt, no retries)",
-            file=sys.stderr,
+    if args.retries < 1:
+        raise UsageError(
+            f"--retries must be >= 1 (got {args.retries}; "
+            "1 = single attempt, no retries)"
         )
-        return EXIT_USAGE
-    if workers < 0:
-        print(
-            f"error: --workers must be >= 0 (got {workers}; "
+    if args.workers < 0:
+        raise UsageError(
+            f"--workers must be >= 0 (got {args.workers}; "
             "a compatibility alias: any N >= 0 runs the same one-at-a-time "
-            "supervised loop)",
-            file=sys.stderr,
+            "supervised loop)"
         )
-        return EXIT_USAGE
-    if shards is not None and shards < 0:
-        print(
-            f"error: --shards must be >= 0 (got {shards}; "
-            "0 = auto-size from os.cpu_count())",
-            file=sys.stderr,
+    if args.shards is not None and args.shards < 0:
+        raise UsageError(
+            f"--shards must be >= 0 (got {args.shards}; "
+            "0 = auto-size from os.cpu_count())"
         )
-        return EXIT_USAGE
-    if shards is not None and workers:
-        print(
-            "error: --shards and --workers are mutually exclusive "
+    if args.shards is not None and args.workers:
+        raise UsageError(
+            "--shards and --workers are mutually exclusive "
             "(shards parallelise across processes; each shard crawls "
-            "its chunks sequentially)",
-            file=sys.stderr,
+            "its chunks sequentially)"
         )
-        return EXIT_USAGE
-    if shard_dir is not None and shards is None:
-        print("error: --shard-dir requires --shards", file=sys.stderr)
-        return EXIT_USAGE
-    plan: FaultPlan | None = None
-    if fault_plan is not None:
+    if args.shard_dir is not None and args.shards is None:
+        raise UsageError("--shard-dir requires --shards")
+    plan = _load_fault_plan(args.fault_plan)
+    if args.shards is None:
         try:
-            with open(fault_plan) as fp:
-                plan = FaultPlan.load(fp)
-        except OSError as exc:
-            print(f"error: cannot read fault plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            executor = ExecutorConfig(
+                visit_deadline_ms=args.visit_deadline,
+                quarantine_after=args.quarantine_after,
+                wall_deadline_s=args.wall_deadline,
+                handle_signals=True,
+            )
         except ValueError as exc:
-            # Plan validation raises one actionable line naming the bad
-            # field/kind — show it verbatim, never a traceback.
-            print(f"error: invalid fault plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    if shards is not None:
-        return _run_sharded_study(
-            population_name,
-            scale,
-            webrtc_policy=webrtc_policy,
-            shards=shards,
-            shard_dir=shard_dir,
-            retries=retries,
-            db=db,
-            resume=resume,
-            netlog_dir=netlog_dir,
-            netlog_format=netlog_format,
-            plan=plan,
-            metrics_out=metrics_out,
-            trace_out=trace_out,
-        )
-
-    try:
-        executor_config = ExecutorConfig(
-            visit_deadline_ms=visit_deadline,
-            quarantine_after=quarantine_after,
-            wall_deadline_s=wall_deadline,
-            handle_signals=True,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise UsageError(str(exc)) from None
+        across, meta = "", {"workers": args.workers}
+    else:
+        shards = resolve_shards(args.shards)
+        across, meta = f" across {shards} shard processes", {"shards": shards}
+    _check_output(args.db, makedirs=True)
+    _check_output(args.netlog_dir, directory=True, makedirs=True)
+    for path in (args.metrics_out, args.trace_out):
+        _check_output(path)
 
     # Progress/diagnostic chatter goes to stderr; stdout carries only
     # the study results so they can be piped or diffed.
-    print(f"crawling {population_name} at scale {scale:.1%} ...", file=sys.stderr)
-    population = _population(population_name, scale, webrtc_policy)
-    with _study_observability(
-        len(population.websites) * len(population.oses),
-        metrics_out,
-        trace_out,
-        {"population": population_name, "scale": scale, "workers": workers},
-    ) as (progress, sink):
-
-        def _on_visit(record) -> None:
-            progress.update(error=not record.success)
-            if sink is not None:
-                sink.tick()
-
-        store = TelemetryStore(db) if db is not None else None
-        campaign = Campaign(
-            store=store,
-            retry_policy=RetryPolicy(max_attempts=retries),
-            fault_plan=plan,
-            # The gate only matters when outages can happen.
-            check_connectivity=plan is not None,
-            checkpoint_every=100 if store is not None else 0,
-            executor=executor_config,
-            netlog_archive=(
-                NetLogArchive(netlog_dir) if netlog_dir is not None else None
-            ),
-            netlog_format=netlog_format,
-            on_visit=_on_visit,
-        )
-        try:
-            result = campaign.run(population, resume=resume)
-        except CampaignInterrupted as exc:
-            print(f"interrupted: {exc}", file=sys.stderr)
-            return EXIT_INTERRUPTED
-        except ValueError as exc:
-            # Configuration rejected at run time (e.g. a visit deadline
-            # below the monitor window).
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        finally:
-            if store is not None:
-                store.commit()
-                store.close()
-
-    ex = campaign.last_executor.stats
     print(
-        f"supervision: {ex.dispatched} visits, "
-        f"{ex.deadline_cancelled} hangs cancelled, "
-        f"{ex.deadline_exceeded} over simulated budget, "
-        f"{ex.quarantined} quarantined"
+        f"crawling {args.population} at scale {args.scale:.1%}{across} ...",
+        file=sys.stderr,
     )
-    if store is not None and ex.quarantined:
-        print(
-            "quarantined visits are parked in the dead-letter queue — "
-            "inspect with: repro deadletter list --db", db,
-            file=sys.stderr,
+    spec = _population_spec(args)
+    population = spec.build()
+    scope = args.cleanup.enter_context(ExitStack())
+    advance = scope.enter_context(
+        _study_observability(
+            args,
+            len(population.websites) * len(population.oses),
+            {"population": args.population, "scale": args.scale, **meta},
         )
-
-    retried = sum(s.retried for s in result.stats.values())
-    recovered = sum(s.recovered for s in result.stats.values())
-    skipped = sum(s.skipped for s in result.stats.values())
-    if retries > 1 or plan is not None or retried:
-        print(
-            f"resilience: {retried} visits retried, "
-            f"{recovered} recovered, {skipped} skipped on connectivity"
-        )
-    if campaign.archive_failures:
-        print(
-            f"warning: {campaign.archive_failures} NetLog document(s) lost "
-            "to archive write failures — audit with: repro fsck --db ... "
-            f"--netlog-dir {netlog_dir}",
-            file=sys.stderr,
-        )
-    injector = campaign.last_injector
-    if injector is not None and injector.injected_total():
-        injected = ", ".join(
-            f"{kind.value}={count}"
-            for kind, count in sorted(
-                injector.injected.items(), key=lambda kv: kv[0].value
-            )
-        )
-        print(f"injected faults: {injected}")
-    _print_study_summary(result)
-    return EXIT_OK
-
-
-def _print_study_summary(result: CampaignResult) -> None:
+    )
+    try:
+        if args.shards is None:
+            result = _run_campaign(args, population, plan, executor, scope, advance)
+        else:
+            result = _run_fabric(args, spec, shards, plan, scope, advance)
+    except CampaignInterrupted as exc:
+        print(f"interrupted: {exc}", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except (FabricError, ValueError) as exc:
+        # Configuration rejected at run time (e.g. a visit deadline
+        # below the monitor window).
+        raise UsageError(str(exc)) from None
     summary = rq1.summarize_activity(result.findings, Locality.LOCALHOST)
     lan = [f for f in result.findings if f.has_lan_activity]
     print(f"localhost-active sites: {summary.total_sites}")
@@ -975,102 +872,128 @@ def _print_study_summary(result: CampaignResult) -> None:
         key=lambda kv: -kv[1],
     ):
         print(f"  {behavior.value:<24}{count:>5}")
+    return EXIT_OK
 
 
-def _run_sharded_study(
-    population_name: str,
-    scale: float,
-    *,
-    webrtc_policy: str | None = None,
-    shards: int,
-    shard_dir: str | None,
-    retries: int,
-    db: str | None,
-    resume: bool,
-    netlog_dir: str | None,
-    netlog_format: str | None,
-    plan,
-    metrics_out: str | None,
-    trace_out: str | None,
-) -> int:
+def _run_campaign(args, population, plan, executor, scope, advance):
+    """The single-process study: one supervised loop over every visit.
+
+    Closes ``scope`` (store, then observability) once the run returns,
+    then prints the supervision, resilience and fault lines.
+    """
+    from .crawler.campaign import Campaign
+    from .crawler.retry import RetryPolicy
+    from .netlog.archive import NetLogArchive
+    from .storage.db import TelemetryStore
+
+    store = None
+    if args.db is not None:
+        store = scope.enter_context(TelemetryStore(args.db))
+        scope.callback(store.commit)
+    campaign = Campaign(
+        store=store,
+        retry_policy=RetryPolicy(max_attempts=args.retries),
+        fault_plan=plan,
+        # The gate only matters when outages can happen.
+        check_connectivity=plan is not None,
+        checkpoint_every=100 if store is not None else 0,
+        executor=executor,
+        netlog_archive=(
+            NetLogArchive(args.netlog_dir) if args.netlog_dir is not None else None
+        ),
+        netlog_format=args.netlog_format,
+        on_visit=lambda record: advance(error=not record.success),
+    )
+    result = campaign.run(population, resume=args.resume)
+    scope.close()
+
+    ex = campaign.last_executor.stats
+    print(
+        f"supervision: {ex.dispatched} visits, "
+        f"{ex.deadline_cancelled} hangs cancelled, "
+        f"{ex.deadline_exceeded} over simulated budget, "
+        f"{ex.quarantined} quarantined"
+    )
+    if store is not None and ex.quarantined:
+        print(
+            "quarantined visits are parked in the dead-letter queue — "
+            "inspect with: repro deadletter list --db", args.db,
+            file=sys.stderr,
+        )
+    retried = sum(s.retried for s in result.stats.values())
+    recovered = sum(s.recovered for s in result.stats.values())
+    skipped = sum(s.skipped for s in result.stats.values())
+    if args.retries > 1 or plan is not None or retried:
+        print(
+            f"resilience: {retried} visits retried, "
+            f"{recovered} recovered, {skipped} skipped on connectivity"
+        )
+    if campaign.archive_failures:
+        print(
+            f"warning: {campaign.archive_failures} NetLog document(s) lost "
+            "to archive write failures — audit with: repro fsck --db ... "
+            f"--netlog-dir {args.netlog_dir}",
+            file=sys.stderr,
+        )
+    injector = campaign.last_injector
+    if injector is not None and injector.injected_total():
+        injected = ", ".join(
+            f"{kind.value}={count}"
+            for kind, count in sorted(
+                injector.injected.items(), key=lambda kv: kv[0].value
+            )
+        )
+        print(f"injected faults: {injected}")
+    return result
+
+
+def _run_fabric(args, spec, shards, plan, scope, advance):
     """``repro study --shards N``: the crash-tolerant sharded fabric.
 
     Each shard is a spawned worker process with its own WAL-mode store;
     the coordinator supervises them (heartbeats, bounded restart with
     resume, work stealing) and folds every shard store into one rollup
     whose Table 1/Table 5 content is byte-identical to a serial run.
+    Closes ``scope`` once the run returns, then prints the fabric line.
     """
     import tempfile
 
-    from .crawler.executor import CampaignInterrupted
-    from .crawler.fabric import (
-        CrawlFabric,
-        FabricConfig,
-        FabricError,
-        resolve_shards,
-    )
-    from .crawler.shard import PopulationSpec
+    from .crawler.fabric import CrawlFabric, FabricConfig
 
-    resolved = resolve_shards(shards)
-    cleanup: tempfile.TemporaryDirectory | None = None
+    shard_dir = args.shard_dir
     if shard_dir is None:
-        if db is not None:
-            shard_dir = db + ".shards"
-        else:
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-shards-")
-            shard_dir = cleanup.name
-    spec = PopulationSpec(
-        population=population_name, scale=scale, webrtc_policy=webrtc_policy
-    )
-    print(
-        f"crawling {population_name} at scale {scale:.1%} across "
-        f"{resolved} shard processes ...",
-        file=sys.stderr,
-    )
-    population = _population(population_name, scale, webrtc_policy)
-    with _study_observability(
-        len(population.websites) * len(population.oses),
-        metrics_out,
-        trace_out,
-        {"population": population_name, "scale": scale, "shards": resolved},
-    ) as (progress, sink):
-        reported = 0
-
-        def _on_progress(total_visits: int) -> None:
-            # The fabric reports cumulative fresh visits across all
-            # shards; feed the delta into the per-visit progress line.
-            nonlocal reported
-            for _ in range(max(total_visits - reported, 0)):
-                progress.update()
-            reported = max(reported, total_visits)
-            if sink is not None:
-                sink.tick()
-
-        fabric = CrawlFabric(
-            spec,
-            FabricConfig(
-                shards=resolved,
-                retries=retries,
-                check_connectivity=plan is not None,
-                netlog_format=netlog_format,
-            ),
-            workdir=shard_dir,
-            rollup_path=db,
-            archive_root=netlog_dir,
-            fault_plan=plan,
-            on_visit=_on_progress,
+        shard_dir = (
+            args.db + ".shards"
+            if args.db is not None
+            else scope.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-shards-")
+            )
         )
-        try:
-            outcome = fabric.run(resume=resume)
-        except CampaignInterrupted as exc:
-            print(f"interrupted: {exc}", file=sys.stderr)
-            return EXIT_INTERRUPTED
-        except (FabricError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        finally:
-            if cleanup is not None:
-                cleanup.cleanup()
+    reported = 0
+
+    def on_progress(total_visits: int) -> None:
+        # The fabric reports cumulative fresh visits across all shards;
+        # feed the delta into the per-visit progress line.
+        nonlocal reported
+        advance(max(total_visits - reported, 0))
+        reported = max(reported, total_visits)
+
+    fabric = CrawlFabric(
+        spec,
+        FabricConfig(
+            shards=shards,
+            retries=args.retries,
+            check_connectivity=plan is not None,
+            netlog_format=args.netlog_format,
+        ),
+        workdir=shard_dir,
+        rollup_path=args.db,
+        archive_root=args.netlog_dir,
+        fault_plan=plan,
+        on_visit=on_progress,
+    )
+    outcome = fabric.run(resume=args.resume)
+    scope.close()
 
     report = outcome.report
     restart_note = ""
@@ -1085,7 +1008,7 @@ def _run_sharded_study(
             f"({', '.join(sorted(set(reasons)))})"
         )
     print(
-        f"fabric: {resolved} shard processes, {report.chunks} chunks, "
+        f"fabric: {shards} shard processes, {report.chunks} chunks, "
         f"{report.steals} stolen{restart_note}; merged "
         f"{report.rows_merged} rows "
         f"({report.duplicate_rows} duplicates verified identical)"
@@ -1096,215 +1019,141 @@ def _run_sharded_study(
             "restart budget; their work was reassigned",
             file=sys.stderr,
         )
-    _print_study_summary(outcome.result)
+    return outcome.result
+
+
+def _cmd_deadletter_list(args: argparse.Namespace) -> int:
+    from .browser.errors import NetError, table1_bucket
+
+    letters = _open_store(args).dead_letters(args.crawl)
+    if not letters:
+        print("dead-letter queue is empty")
+        return EXIT_OK
+    print(f"{'crawl':<12}{'os':<9}{'domain':<28}{'failures':>9}  reason")
+    for letter in letters:
+        try:
+            bucket = table1_bucket(NetError(letter.error))
+        except ValueError:
+            bucket = str(letter.error)
+        print(
+            f"{letter.crawl:<12}{letter.os_name:<9}"
+            f"{letter.domain:<28}{letter.failures:>9}  "
+            f"[{bucket}] {letter.reason}"
+        )
     return EXIT_OK
 
 
-def _cmd_deadletter(
-    dl_command: str,
-    db: str,
-    *,
-    crawl: str | None = None,
-    domain: str | None = None,
-) -> int:
-    import os
-    import sqlite3
-
-    from .browser.errors import NetError, table1_bucket
-    from .storage.db import TelemetryStore
-
-    if not os.path.exists(db):
-        print(f"error: no such database: {db}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        store = TelemetryStore(db)
-    except sqlite3.DatabaseError as exc:
-        print(f"error: not a telemetry database: {db}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    with store:
-        if dl_command == "list":
-            letters = store.dead_letters(crawl)
-            if not letters:
-                print("dead-letter queue is empty")
-                return EXIT_OK
-            print(f"{'crawl':<12}{'os':<9}{'domain':<28}{'failures':>9}  reason")
-            for letter in letters:
-                try:
-                    bucket = table1_bucket(NetError(letter.error))
-                except ValueError:
-                    bucket = str(letter.error)
-                print(
-                    f"{letter.crawl:<12}{letter.os_name:<9}"
-                    f"{letter.domain:<28}{letter.failures:>9}  "
-                    f"[{bucket}] {letter.reason}"
-                )
-            return EXIT_OK
-        if not store.dead_letters(crawl):
-            # Empty queue is a success, not an error: there is simply
-            # nothing to re-attempt.
-            print("dead-letter queue is empty — nothing to retry")
-            return EXIT_OK
-        requeued = store.requeue_dead_letters(crawl, domain)
-        if requeued == 0:
-            print("no quarantined visits match the given filters")
-            return EXIT_OK
-        print(
-            f"re-queued {requeued} visit(s); run the study again with "
-            "--resume to re-attempt them"
-        )
+def _cmd_deadletter_retry(args: argparse.Namespace) -> int:
+    store = _open_store(args)
+    if not store.dead_letters(args.crawl):
+        # Empty queue is a success, not an error: there is simply
+        # nothing to re-attempt.
+        print("dead-letter queue is empty — nothing to retry")
         return EXIT_OK
+    requeued = store.requeue_dead_letters(args.crawl, args.domain)
+    if requeued == 0:
+        print("no quarantined visits match the given filters")
+        return EXIT_OK
+    print(
+        f"re-queued {requeued} visit(s); run the study again with "
+        "--resume to re-attempt them"
+    )
+    return EXIT_OK
 
 
-def _cmd_fsck(
-    db: str,
-    *,
-    netlog_dir: str | None = None,
-    crawl: str | None = None,
-    repair: bool = False,
-    population_name: str | None = None,
-    scale: float = _DEFAULT_SCALE,
-    webrtc_policy: str | None = None,
-    as_json: bool = False,
-    jobs: int | None = None,
-) -> int:
+def _cmd_fsck(args: argparse.Namespace) -> int:
     import json
-    import os
-    import sqlite3
 
     from .netlog.archive import NetLogArchive
-    from .storage.db import TelemetryStore
-    from .storage.integrity import Revisiter, fsck, population_revisiter
+    from .storage.integrity import fsck, population_revisiter
 
-    if not os.path.exists(db):
-        print(f"error: no such database: {db}", file=sys.stderr)
-        return EXIT_USAGE
-    if netlog_dir is not None and not os.path.isdir(netlog_dir):
-        print(f"error: no such archive directory: {netlog_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    archive = NetLogArchive(netlog_dir) if netlog_dir is not None else None
-    try:
-        store = TelemetryStore(db)
-    except sqlite3.DatabaseError as exc:
-        print(f"error: not a telemetry database: {db}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    with store:
-        revisit: Revisiter | None = None
-        if repair and population_name is not None:
-            revisit = population_revisiter(
-                _population(population_name, scale, webrtc_policy),
-                store,
-                archive,
-            )
-        report = fsck(
-            store,
-            archive,
-            crawl=crawl,
-            repair=repair,
-            revisit=revisit,
-            jobs=jobs,
-        )
-        if as_json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(report.render())
-        if not report.ok:
-            if not repair:
-                print(
-                    "rerun with --repair (and --population for tier-2 "
-                    "re-visits) to repair",
-                    file=sys.stderr,
-                )
-            return EXIT_ISSUES
+    store = _open_store(args, args.netlog_dir)
+    archive = NetLogArchive(args.netlog_dir) if args.netlog_dir is not None else None
+    revisit = None
+    if args.repair and args.population is not None:
+        population = _population_spec(args).build()
+        revisit = population_revisiter(population, store, archive)
+    report = fsck(
+        store,
+        archive,
+        crawl=args.crawl,
+        repair=args.repair,
+        revisit=revisit,
+        jobs=args.jobs,
+    )
+    print(json.dumps(report.to_json(), indent=2) if args.json else report.render())
+    if report.ok:
         return EXIT_OK
+    if not args.repair:
+        print(
+            "rerun with --repair (and --population for tier-2 re-visits) "
+            "to repair",
+            file=sys.stderr,
+        )
+    return EXIT_ISSUES
 
 
-def _cmd_metrics(path: str) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> int:
     from .obs.export import SnapshotError, load_snapshot, render_snapshot
 
     try:
-        document = load_snapshot(path)
+        document = load_snapshot(args.snapshot)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read {args.snapshot}: {exc}") from None
     except SnapshotError as exc:
-        print(f"error: not a metrics snapshot: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"not a metrics snapshot: {exc}") from None
     print(render_snapshot(document))
     return EXIT_OK
 
 
-def _cmd_serve(
-    *,
-    host: str,
-    port: int,
-    workers: int,
-    backlog: int,
-    max_bytes: int,
-    job_deadline: float,
-    read_timeout: float,
-    db: str | None,
-    spool_dir: str | None,
-    resume: bool,
-    fault_plan: str | None,
-    drain_timeout: float,
-    verbose: bool,
-) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the analysis daemon until SIGINT/SIGTERM.
 
     A graceful signal drain (stop admitting → finish in-flight →
     flush journal) exits ``EXIT_OK``; a drain that times out with
     wedged workers exits ``EXIT_ISSUES``.
     """
-    import os
     import signal
     import tempfile
     import threading
 
     from . import obs
-    from .faults import FaultInjector, FaultPlan
+    from .faults import FaultInjector
     from .serve.engine import EngineConfig, JobEngine
     from .serve.http import ReproServer, ServerConfig
     from .storage.db import TelemetryStore
     from .storage.jobs import JobJournal
 
-    if resume and db is None:
-        print("error: --resume requires --db", file=sys.stderr)
-        return EXIT_USAGE
-    injector: FaultInjector | None = None
-    if fault_plan is not None:
-        try:
-            with open(fault_plan) as fp:
-                injector = FaultInjector(plan=FaultPlan.load(fp))
-        except OSError as exc:
-            print(f"error: cannot read fault plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ValueError as exc:
-            print(f"error: invalid fault plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    if args.resume and args.db is None:
+        raise UsageError("--resume requires --db")
+    plan = _load_fault_plan(args.fault_plan)
+    injector = FaultInjector(plan=plan) if plan is not None else None
     try:
         engine_config = EngineConfig(
-            workers=workers,
-            backlog=backlog,
-            job_deadline_s=job_deadline,
+            workers=args.workers,
+            backlog=args.backlog,
+            job_deadline_s=args.job_deadline,
         )
         server_config = ServerConfig(
-            host=host,
-            port=port,
-            max_bytes=max_bytes,
-            read_timeout_s=read_timeout,
-            verbose=verbose,
+            host=args.host,
+            port=args.port,
+            max_bytes=args.max_bytes,
+            read_timeout_s=args.read_timeout,
+            verbose=args.verbose,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
+    _check_output(args.db, makedirs=True)
 
     # /metricsz is part of the surface, so the daemon always observes.
     obs.enable()
-    store: TelemetryStore | None = None
-    journal: JobJournal | None = None
-    spool_cleanup: tempfile.TemporaryDirectory | None = None
-    if db is not None:
-        store = TelemetryStore(db, serialized=True, wal=True)
+    args.cleanup.callback(obs.disable)
+    journal = None
+    spool_dir = args.spool_dir
+    if args.db is not None:
+        store = args.cleanup.enter_context(
+            TelemetryStore(args.db, serialized=True, wal=True)
+        )
         journal = JobJournal(
             store,
             write_fault_hook=(
@@ -1312,15 +1161,16 @@ def _cmd_serve(
             ),
         )
         if spool_dir is None:
-            spool_dir = db + ".spool"
+            spool_dir = args.db + ".spool"
     elif spool_dir is None:
-        spool_cleanup = tempfile.TemporaryDirectory(prefix="repro-serve-spool-")
-        spool_dir = spool_cleanup.name
+        spool_dir = args.cleanup.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-serve-spool-")
+        )
 
     engine = JobEngine(
         engine_config, journal=journal, spool_dir=spool_dir, injector=injector
     )
-    if resume:
+    if args.resume:
         recovered, cached = engine.resume()
         print(
             f"resumed: {recovered} interrupted job(s) re-queued, "
@@ -1330,196 +1180,163 @@ def _cmd_serve(
     try:
         server = ReproServer(engine, server_config, injector=injector)
     except OSError as exc:
-        print(f"error: cannot bind {host}:{port}: {exc}", file=sys.stderr)
-        if store is not None:
-            store.close()
-        return EXIT_USAGE
+        raise UsageError(f"cannot bind {args.host}:{args.port}: {exc}") from None
 
     stop = threading.Event()
-
-    def _on_signal(signum: int, frame: object) -> None:
-        stop.set()
-
-    previous = {
-        signal.SIGINT: signal.signal(signal.SIGINT, _on_signal),
-        signal.SIGTERM: signal.signal(signal.SIGTERM, _on_signal),
-    }
-    drained = True
-    try:
-        server.start()
-        print(f"serving on {server.url} (pid {os.getpid()})", file=sys.stderr)
-        while not stop.wait(0.5):
-            pass
-        print("signal received: draining ...", file=sys.stderr)
-        drained = server.drain(drain_timeout)
-        if not drained:
-            print(
-                "warning: drain deadline expired with wedged worker(s)",
-                file=sys.stderr,
-            )
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        if store is not None:
-            store.close()
-        if spool_cleanup is not None:
-            spool_cleanup.cleanup()
-        obs.disable()
-    return EXIT_OK if drained else EXIT_ISSUES
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        previous = signal.signal(signum, lambda signum, frame: stop.set())
+        args.cleanup.callback(signal.signal, signum, previous)
+    server.start()
+    print(f"serving on {server.url} (pid {os.getpid()})", file=sys.stderr)
+    while not stop.wait(0.5):
+        pass
+    print("signal received: draining ...", file=sys.stderr)
+    if server.drain(args.drain_timeout):
+        return EXIT_OK
+    print("warning: drain deadline expired with wedged worker(s)", file=sys.stderr)
+    return EXIT_ISSUES
 
 
-def _cmd_table(
-    table_id: str, scale: float, webrtc_policy: str = "mdns"
-) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
+    table_id, scale = args.number, args.scale
     if table_id in ("5W", "6W"):
-        result = _campaign("top2020", scale, webrtc_policy)
         renderer = tables.table_5w if table_id == "5W" else tables.table_6w
-        print(renderer(result.findings).text)
-        return EXIT_OK
-    if table_id == "W":
-        findings_by_policy = {
-            policy: _campaign("top2020", scale, policy).findings
-            for policy in ("pre-m74", "mdns")
-        }
-        print(tables.table_webrtc_era(findings_by_policy).text)
-        return EXIT_OK
-    number = int(table_id)
-    if number == 4:
-        print(tables.table_4().text)
-        return EXIT_OK
-    if number in (1,):
-        result_2020 = _campaign("top2020", scale)
-        result_2021 = _campaign("top2021", scale)
-        result_malicious = _campaign("malicious", scale / 2)
-        stats = (
-            list(result_2020.stats.values())
-            + list(result_2021.stats.values())
-            + list(result_malicious.stats.values())
-        )
-        print(tables.table_1(stats).text)
-        return EXIT_OK
-    if number in (2, 8, 9):
-        result = _campaign("malicious", scale)
-        if number == 2:
-            sizes = {
-                "malware": S.MALWARE_COUNT,
-                "abuse": S.ABUSE_COUNT,
-                "phishing": S.PHISHING_COUNT,
+        table = renderer(_campaign("top2020", scale, args.webrtc_policy).findings)
+    elif table_id == "W":
+        table = tables.table_webrtc_era(
+            {
+                policy: _campaign("top2020", scale, policy).findings
+                for policy in ("pre-m74", "mdns")
             }
-            print(tables.table_2(result.findings, result.stats, sizes).text)
-        elif number == 8:
-            print(tables.table_8(result.findings).text)
-        else:
-            print(tables.table_9(result.findings).text)
-        return EXIT_OK
-    if number in (7, 10):
-        result_2021 = _campaign("top2021", scale)
-        if number == 10:
-            print(tables.table_10(result_2021.findings).text)
-            return EXIT_OK
-        result_2020 = _campaign("top2020", scale)
-        print(tables.table_7(result_2021.findings, result_2020.findings).text)
-        return EXIT_OK
-    result = _campaign("top2020", scale)
-    renderer = {
-        3: tables.table_3,
-        5: tables.table_5,
-        6: tables.table_6,
-        11: tables.table_11,
-    }[number]
-    print(renderer(result.findings).text)
+        )
+    elif table_id == "4":
+        table = tables.table_4()
+    elif table_id == "1":
+        results = (
+            _campaign("top2020", scale),
+            _campaign("top2021", scale),
+            _campaign("malicious", scale / 2),
+        )
+        table = tables.table_1(
+            [stats for result in results for stats in result.stats.values()]
+        )
+    elif table_id == "2":
+        result = _campaign("malicious", scale)
+        sizes = {
+            "malware": S.MALWARE_COUNT,
+            "abuse": S.ABUSE_COUNT,
+            "phishing": S.PHISHING_COUNT,
+        }
+        table = tables.table_2(result.findings, result.stats, sizes)
+    elif table_id in ("8", "9"):
+        renderer = tables.table_8 if table_id == "8" else tables.table_9
+        table = renderer(_campaign("malicious", scale).findings)
+    elif table_id == "10":
+        table = tables.table_10(_campaign("top2021", scale).findings)
+    elif table_id == "7":
+        findings_2021 = _campaign("top2021", scale).findings
+        table = tables.table_7(findings_2021, _campaign("top2020", scale).findings)
+    else:
+        renderer = {
+            "3": tables.table_3,
+            "5": tables.table_5,
+            "6": tables.table_6,
+            "11": tables.table_11,
+        }[table_id]
+        table = renderer(_campaign("top2020", scale).findings)
+    print(table.text)
     return EXIT_OK
 
 
-def _cmd_figure(number: int, scale: float) -> int:
+def _cmd_figure(args: argparse.Namespace) -> int:
+    number, scale = args.number, args.scale
     if number in (6, 8, 9):
-        result = _campaign("top2021", scale)
         renderer = {
             6: figures.figure_6,
             8: figures.figure_8,
             9: figures.figure_9,
         }[number]
-        print(renderer(result.findings).text)
-        return EXIT_OK
-    if number == 7:
-        result = _campaign("malicious", scale)
-        print(figures.figure_7(result.findings).text)
-        return EXIT_OK
-    result = _campaign("top2020", scale)
-    if number == 2:
-        print(figures.figure_2(result.findings).text)
-        malicious = _campaign("malicious", scale)
-        print(figures.figure_2(malicious.findings, name="Figure 2b").text)
-    elif number == 3:
-        print(figures.figure_3(result.findings).text)
-    elif number == 4:
-        malicious = _campaign("malicious", scale)
-        print(figures.figure_4(result.findings, malicious.findings).text)
-    elif number == 5:
-        print(figures.figure_5(result.findings).text)
+        rendered = [renderer(_campaign("top2021", scale).findings)]
+    elif number == 7:
+        rendered = [figures.figure_7(_campaign("malicious", scale).findings)]
+    else:
+        findings = _campaign("top2020", scale).findings
+        if number == 2:
+            rendered = [
+                figures.figure_2(findings),
+                figures.figure_2(
+                    _campaign("malicious", scale).findings, name="Figure 2b"
+                ),
+            ]
+        elif number == 4:
+            malicious = _campaign("malicious", scale).findings
+            rendered = [figures.figure_4(findings, malicious)]
+        else:
+            renderer = {3: figures.figure_3, 5: figures.figure_5}[number]
+            rendered = [renderer(findings)]
+    for figure in rendered:
+        print(figure.text)
     return EXIT_OK
 
 
-def _cmd_report(scale: float, output: str | None) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report_doc import StudyResults, render_report
 
+    _check_output(args.output)
     results = StudyResults(
-        top2020=_campaign("top2020", scale),
-        top2021=_campaign("top2021", scale),
-        malicious=_campaign("malicious", scale / 2),
+        top2020=_campaign("top2020", args.scale),
+        top2021=_campaign("top2021", args.scale),
+        malicious=_campaign("malicious", args.scale / 2),
     )
     text = render_report(results)
-    if output:
-        with open(output, "w") as fp:
+    if args.output:
+        with open(args.output, "w") as fp:
             fp.write(text + "\n")
-        print(f"report written to {output}")
+        print(f"report written to {args.output}")
     else:
         print(text)
     return EXIT_OK
 
 
-def _cmd_validate(scale: float) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     from .analysis.validate import validate
 
     failures = 0
     for population_name in ("top2020", "top2021", "malicious"):
-        print(f"\n== {population_name} (scale {scale:.1%}) ==")
-        result = _campaign(population_name, scale)
-        card = validate(result)
+        print(f"\n== {population_name} (scale {args.scale:.1%}) ==")
+        card = validate(_campaign(population_name, args.scale))
         print(card.render())
         failures += card.failed
-    return 0 if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_ISSUES
 
 
-def _cmd_lint(domain: str) -> int:
+def _cmd_lint(args: argparse.Namespace) -> int:
     from .defense.devlint import lint_website
 
-    for builder, kwargs in (
-        (build_top_population, {"year": 2020}),
-        (build_top_population, {"year": 2021}),
-        (build_malicious_population, {}),
-    ):
-        population = builder(scale=0.001, **kwargs)  # type: ignore[operator]
-        if domain in population.by_domain:
-            report = lint_website(population.website(domain))
-            print(report.render())
+    for name in ("top2020", "top2021", "malicious"):
+        population = PopulationSpec(population=name, scale=0.001).build()
+        if args.domain in population.by_domain:
+            print(lint_website(population.website(args.domain)).render())
             return EXIT_OK
-    print(f"error: {domain} is not in any seeded population", file=sys.stderr)
-    return EXIT_USAGE
+    raise UsageError(f"{args.domain} is not in any seeded population")
 
 
 _CHAOS_DRIVERS = ("campaign", "supervised", "fabric", "serve")
 
 
-def _cmd_chaos_run(
-    *,
-    seed: str,
-    budget: int,
-    scale: float,
-    drivers: str | None,
-    report_path: str | None,
-    repro_dir: str | None,
-) -> int:
+def _chaos_context(args: argparse.Namespace, prefix: str):
+    """A conformance context over a scratch directory the command owns."""
+    import tempfile
+
+    from .chaos.drivers import ChaosContext
+
+    workdir = args.cleanup.enter_context(
+        tempfile.TemporaryDirectory(prefix=prefix, ignore_cleanup_errors=True)
+    )
+    return ChaosContext(workdir=workdir, scale=args.scale)
+
+
+def _cmd_chaos_run(args: argparse.Namespace) -> int:
     """Coverage-guided conformance sweep.
 
     ``EXIT_OK`` only when every registered seam fired and every invariant
@@ -1527,133 +1344,106 @@ def _cmd_chaos_run(
     was given) or uncovered seam exits ``EXIT_ISSUES``.
     """
     import json
-    import shutil
-    import tempfile
 
-    from repro.chaos.drivers import ChaosContext, build_drivers
-    from repro.chaos.engine import ChaosEngine, EngineBudget, render_coverage
-    from repro.chaos.registry import SeamDriftError
+    from .chaos.drivers import build_drivers
+    from .chaos.engine import ChaosEngine, EngineBudget, render_coverage
+    from .chaos.registry import SeamDriftError
 
-    if budget < 1:
-        print("error: --budget must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not 0.0 < scale <= 1.0:
-        print("error: --scale must be in (0, 1]", file=sys.stderr)
-        return EXIT_USAGE
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
+    if not 0.0 < args.scale <= 1.0:
+        raise UsageError("--scale must be in (0, 1]")
     selected = (
         _CHAOS_DRIVERS
-        if drivers is None
-        else tuple(name.strip() for name in drivers.split(",") if name.strip())
+        if args.drivers is None
+        else tuple(name.strip() for name in args.drivers.split(",") if name.strip())
     )
-    unknown = [name for name in selected if name not in _CHAOS_DRIVERS]
-    if unknown or not selected:
-        print(
-            "error: --drivers must be a comma-separated subset of "
-            + ",".join(_CHAOS_DRIVERS),
-            file=sys.stderr,
+    if not selected or any(name not in _CHAOS_DRIVERS for name in selected):
+        raise UsageError(
+            "--drivers must be a comma-separated subset of "
+            + ",".join(_CHAOS_DRIVERS)
         )
-        return EXIT_USAGE
+    _check_output(args.report)
 
-    workdir = tempfile.mkdtemp(prefix="repro-chaos-")
+    ctx = _chaos_context(args, "repro-chaos-")
+    drivers = {
+        name: driver for name, driver in build_drivers(ctx).items() if name in selected
+    }
     try:
-        ctx = ChaosContext(workdir=workdir, scale=scale)
-        driver_map = {
-            name: driver
-            for name, driver in build_drivers(ctx).items()
-            if name in selected
-        }
-        try:
-            engine = ChaosEngine(
-                ctx,
-                seed=seed,
-                budget=EngineBudget(max_schedules=budget),
-                repro_dir=repro_dir,
-                drivers=driver_map,
-                progress=lambda line: print(f"chaos: {line}", file=sys.stderr),
-            )
-        except SeamDriftError as exc:
-            print(f"error: seam registry drift: {exc}", file=sys.stderr)
-            return EXIT_ISSUES
-        try:
-            report = engine.run()
-        except KeyboardInterrupt:
-            print("chaos: interrupted", file=sys.stderr)
-            return EXIT_INTERRUPTED
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+        engine = ChaosEngine(
+            ctx,
+            seed=args.seed,
+            budget=EngineBudget(max_schedules=args.budget),
+            repro_dir=args.repro_dir,
+            drivers=drivers,
+            progress=lambda line: print(f"chaos: {line}", file=sys.stderr),
+        )
+    except SeamDriftError as exc:
+        print(f"error: seam registry drift: {exc}", file=sys.stderr)
+        return EXIT_ISSUES
+    try:
+        report = engine.run()
+    except KeyboardInterrupt:
+        print("chaos: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
     record = report.to_json()
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as handle:
+    if args.report is not None:
+        with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(render_coverage(record), end="")
-    if not report.ok:
-        return EXIT_ISSUES
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_ISSUES
 
 
-def _cmd_chaos_coverage(path: str) -> int:
+def _cmd_chaos_coverage(args: argparse.Namespace) -> int:
     """Render a saved coverage report; ``EXIT_ISSUES`` when it records
     violations or incomplete seam coverage, so it can gate CI."""
     import json
 
-    from repro.chaos.engine import render_coverage
+    from .chaos.engine import render_coverage
 
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(args.report, encoding="utf-8") as handle:
             record = json.load(handle)
     except OSError as exc:
-        print(f"error: cannot read coverage report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read coverage report: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(f"error: invalid coverage report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"invalid coverage report: {exc}") from None
     try:
         print(render_coverage(record), end="")
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: invalid coverage report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"invalid coverage report: {exc}") from None
     if record.get("violations") or record.get("coverage_percent", 0) < 100.0:
         return EXIT_ISSUES
     return EXIT_OK
 
 
-def _cmd_chaos_replay(path: str, *, scale: float) -> int:
+def _cmd_chaos_replay(args: argparse.Namespace) -> int:
     """Re-run a minimal repro plan on its driver.
 
     ``EXIT_ISSUES`` when the recorded invariant violation still
     reproduces (the bug is alive), ``EXIT_OK`` when it no longer does.
     """
-    import shutil
-    import tempfile
-
-    from repro.chaos.drivers import ChaosContext
-    from repro.chaos.engine import ChaosEngine
-    from repro.chaos.shrink import MinimalRepro
+    from .chaos.engine import ChaosEngine
+    from .chaos.shrink import MinimalRepro
 
     try:
-        repro = MinimalRepro.load(path)
+        repro = MinimalRepro.load(args.repro)
     except OSError as exc:
-        print(f"error: cannot read repro: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read repro: {exc}") from None
     except ValueError as exc:
-        print(f"error: invalid repro: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"invalid repro: {exc}") from None
 
-    workdir = tempfile.mkdtemp(prefix="repro-chaos-replay-")
+    engine = ChaosEngine(
+        _chaos_context(args, "repro-chaos-replay-"), seed=repro.engine_seed
+    )
     try:
-        ctx = ChaosContext(workdir=workdir, scale=scale)
-        engine = ChaosEngine(ctx, seed=repro.engine_seed)
-        try:
-            violations = engine.replay(repro)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except KeyboardInterrupt:
-            print("chaos: interrupted", file=sys.stderr)
-            return EXIT_INTERRUPTED
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+        violations = engine.replay(repro)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    except KeyboardInterrupt:
+        print("chaos: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
     plan_text = ", ".join(
         f"{spec.kind.value}(rate={spec.rate}, times={spec.times})"
@@ -1674,90 +1464,15 @@ def _cmd_chaos_replay(path: str, *, scale: float) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; the only place a usage error becomes an exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args.netlog, as_json=args.json, jobs=args.jobs)
-    if args.command == "netlog":
-        return _cmd_netlog_convert(args.source, args.dest, args.to)
-    if args.command == "serve":
-        return _cmd_serve(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            backlog=args.backlog,
-            max_bytes=args.max_bytes,
-            job_deadline=args.job_deadline,
-            read_timeout=args.read_timeout,
-            db=args.db,
-            spool_dir=args.spool_dir,
-            resume=args.resume,
-            fault_plan=args.fault_plan,
-            drain_timeout=args.drain_timeout,
-            verbose=args.verbose,
-        )
-    if args.command == "study":
-        return _cmd_study(
-            args.population,
-            args.scale,
-            webrtc_policy=args.webrtc_policy,
-            retries=args.retries,
-            db=args.db,
-            resume=args.resume,
-            netlog_dir=args.netlog_dir,
-            netlog_format=args.netlog_format,
-            fault_plan=args.fault_plan,
-            workers=args.workers,
-            shards=args.shards,
-            shard_dir=args.shard_dir,
-            visit_deadline=args.visit_deadline,
-            quarantine_after=args.quarantine_after,
-            wall_deadline=args.wall_deadline,
-            metrics_out=args.metrics_out,
-            trace_out=args.trace_out,
-        )
-    if args.command == "deadletter":
-        return _cmd_deadletter(
-            args.dl_command, args.db, crawl=args.crawl,
-            domain=getattr(args, "domain", None),
-        )
-    if args.command == "chaos":
-        if args.chaos_command == "run":
-            return _cmd_chaos_run(
-                seed=args.seed,
-                budget=args.budget,
-                scale=args.scale,
-                drivers=args.drivers,
-                report_path=args.report,
-                repro_dir=args.repro_dir,
-            )
-        if args.chaos_command == "coverage":
-            return _cmd_chaos_coverage(args.report)
-        return _cmd_chaos_replay(args.repro, scale=args.scale)
-    if args.command == "fsck":
-        return _cmd_fsck(
-            args.db,
-            netlog_dir=args.netlog_dir,
-            crawl=args.crawl,
-            repair=args.repair,
-            population_name=args.population,
-            scale=args.scale,
-            webrtc_policy=args.webrtc_policy,
-            as_json=args.json,
-            jobs=args.jobs,
-        )
-    if args.command == "metrics":
-        return _cmd_metrics(args.snapshot)
-    if args.command == "table":
-        return _cmd_table(args.number, args.scale, args.webrtc_policy)
-    if args.command == "figure":
-        return _cmd_figure(args.number, args.scale)
-    if args.command == "report":
-        return _cmd_report(args.scale, args.output)
-    if args.command == "validate":
-        return _cmd_validate(args.scale)
-    if args.command == "lint":
-        return _cmd_lint(args.domain)
-    raise AssertionError("unreachable")
+    with ExitStack() as args.cleanup:
+        try:
+            return args.run(args)
+        except UsageError as exc:
+            for message in exc.args:
+                print(f"error: {message}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -495,20 +495,8 @@ class Campaign:
         while True:
             write_attempts += 1
             try:
-                self.store.record_visit(
-                    crawl,
-                    record.domain,
-                    os_name,
-                    success=record.success,
-                    error=int(record.error),
-                    rank=record.rank,
-                    category=record.category,
-                    skipped=record.connectivity_skipped,
-                    attempts=record.attempts,
-                    detection=record.detection
-                    if record.has_local_activity
-                    else None,
-                    webrtc_policy=self._webrtc_policy,
+                record.record_into(
+                    self.store, crawl, os_name, self._webrtc_policy
                 )
                 return
             except StorageWriteError:
@@ -534,21 +522,7 @@ class Campaign:
         assert self.netlog_archive is not None and record.netlog is not None
         injector = self.last_injector
         key = f"{crawl}:{os_name}:{record.domain}"
-        meta = {
-            "crawl": crawl,
-            "domain": record.domain,
-            "os": os_name,
-            "success": record.success,
-            "error": int(record.error),
-            "rank": record.rank,
-            "category": record.category,
-            "skipped": record.connectivity_skipped,
-            "attempts": record.attempts,
-        }
-        # Only webrtc-enabled campaigns carry the key: channel-off
-        # archives stay byte-identical to pre-v4 ones.
-        if self._webrtc_policy is not None:
-            meta["webrtc_policy"] = self._webrtc_policy
+        meta = record.visit_meta(crawl, os_name, self._webrtc_policy)
         attempts = 0
         budget = self.retry_policy.max_attempts
         while True:

@@ -89,6 +89,45 @@ class CrawlRecord:
         """Succeeded, but only after at least one retry."""
         return self.success and self.attempts > 1
 
+    def visit_meta(
+        self, crawl: str, os_name: str, webrtc_policy: str | None
+    ) -> dict:
+        """The ``visitMeta`` head of this visit's archived document."""
+        meta = {
+            "crawl": crawl,
+            "domain": self.domain,
+            "os": os_name,
+            "success": self.success,
+            "error": int(self.error),
+            "rank": self.rank,
+            "category": self.category,
+            "skipped": self.connectivity_skipped,
+            "attempts": self.attempts,
+        }
+        # Only webrtc-enabled campaigns carry the key: channel-off
+        # archives stay byte-identical to pre-v4 ones.
+        if webrtc_policy is not None:
+            meta["webrtc_policy"] = webrtc_policy
+        return meta
+
+    def record_into(
+        self, store, crawl: str, os_name: str, webrtc_policy: str | None
+    ) -> None:
+        """Write this visit's telemetry row (detections only when active)."""
+        store.record_visit(
+            crawl,
+            self.domain,
+            os_name,
+            success=self.success,
+            error=int(self.error),
+            rank=self.rank,
+            category=self.category,
+            skipped=self.connectivity_skipped,
+            attempts=self.attempts,
+            detection=self.detection if self.has_local_activity else None,
+            webrtc_policy=webrtc_policy,
+        )
+
 
 @dataclass(slots=True)
 class CrawlStats:

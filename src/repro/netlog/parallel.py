@@ -73,10 +73,6 @@ def verify_document(path: str | Path) -> ParseStats:
     return stats
 
 
-def _verify_one(path_str: str) -> ParseStats:
-    return verify_document(path_str)
-
-
 @dataclass(slots=True)
 class DocumentSummary:
     """One document's analysis result, small enough to ship from a worker."""
@@ -91,39 +87,29 @@ class DocumentSummary:
 
 def _analyze_one(path_str: str) -> DocumentSummary:
     """Parse one document and run local-traffic detection over it."""
-    from ..core.classifier import BehaviorClassifier
-    from ..core.detector import LocalTrafficDetector
-    from .streaming import iter_events_streaming
+    from ..core.document import analyze_document
 
-    stats = ParseStats()
-    sink = LocalTrafficDetector().sink()
     try:
         with open(path_str, "rb") as fp:
-            for event in iter_events_streaming(
-                fp, strict=False, stats=stats, require_events=True
-            ):
-                sink.accept(event)
+            analysis = analyze_document(fp)
     except OSError as exc:
-        return DocumentSummary(
-            path=path_str, stats=stats, error=f"cannot read: {exc}"
-        )
+        error = f"cannot read: {exc}"
     except NetLogParseError as exc:
+        error = f"not a NetLog document: {exc}"
+    else:
+        detection = analysis.detection
         return DocumentSummary(
-            path=path_str, stats=stats, error=f"not a NetLog document: {exc}"
+            path=path_str,
+            stats=analysis.stats,
+            total_flows=detection.total_flows,
+            local_requests=len(detection.requests),
+            behavior=(
+                analysis.verdict.behavior.value
+                if detection.has_local_activity
+                else None
+            ),
         )
-    detection = sink.finish()
-    behavior = None
-    if detection.has_local_activity:
-        behavior = (
-            BehaviorClassifier().classify(detection.requests).behavior.value
-        )
-    return DocumentSummary(
-        path=path_str,
-        stats=stats,
-        total_flows=detection.total_flows,
-        local_requests=len(detection.requests),
-        behavior=behavior,
-    )
+    return DocumentSummary(path=path_str, stats=ParseStats(), error=error)
 
 
 def _pool_map(worker, items: Sequence[str], jobs: int) -> list:
@@ -150,7 +136,7 @@ def verify_paths(
     """
     ordered = [str(path) for path in paths]
     effective = resolve_jobs(jobs, len(ordered))
-    results = _pool_map(_verify_one, ordered, effective)
+    results = _pool_map(verify_document, ordered, effective)
     return [(Path(path), stats) for path, stats in zip(ordered, results)]
 
 

@@ -27,21 +27,15 @@ import hashlib
 import json
 from typing import Callable
 
-from ..core.classifier import BehaviorClassifier
-from ..core.detector import LocalTrafficDetector
-from ..netlog import NetLogParseError, ParseStats
-from ..netlog.streaming import iter_events_streaming
+from ..core.document import CHECKPOINT_EVERY as CHECKPOINT_EVERY  # re-exported
+from ..core.document import analyze_document
+from ..netlog import NetLogParseError
 
 #: Format tag embedded in (and required of) every report document.
 REPORT_FORMAT = "repro-report-v1"
 
 #: Digest algorithm prefix for upload content addresses.
 DIGEST_ALGORITHM = "sha256"
-
-#: How many parsed events between cancellation checkpoints: small enough
-#: that a watchdog-cancelled worker reacts within its poll interval on
-#: any realistic document, large enough to stay off the hot path.
-CHECKPOINT_EVERY = 256
 
 
 class ReportError(ValueError):
@@ -77,33 +71,17 @@ def analyze_report(
     a wedged or oversized parse is abandoned at the wall deadline
     instead of starving the pool.
     """
-    digest = upload_digest(data)
-    stats = ParseStats()
-    sink = LocalTrafficDetector().sink()
-    seen = 0
     try:
-        # The streaming layer sniffs the upload's format from its magic
-        # byte: binary documents take the binary frame loop, JSON is
-        # decoded with errors="replace" so torn multi-byte sequences at
-        # a truncation point degrade to U+FFFD and the salvage parser
-        # drops that record, exactly as the batch CLI does reading the
-        # file.  Reports stay content-addressed by the upload bytes, so
-        # the same events uploaded in the two formats are two cache
-        # entries with identical analysis sections.
-        for event in iter_events_streaming(
-            data, strict=False, stats=stats, require_events=True
-        ):
-            sink.accept(event)
-            seen += 1
-            if checkpoint is not None and seen % CHECKPOINT_EVERY == 0:
-                checkpoint()
+        # Reports are content-addressed by the upload bytes, so the same
+        # events uploaded in the two formats are two cache entries with
+        # identical analysis sections.
+        analysis = analyze_document(data, checkpoint=checkpoint)
     except NetLogParseError as exc:
         raise ReportError(f"not a NetLog document: {exc}") from exc
-    detection = sink.finish()
-    verdict = BehaviorClassifier().classify(detection.requests)
+    stats, detection, verdict = analysis.stats, analysis.detection, analysis.verdict
     return {
         "format": REPORT_FORMAT,
-        "digest": digest,
+        "digest": upload_digest(data),
         "bytes": len(data),
         "parse": {
             "events": stats.parsed,

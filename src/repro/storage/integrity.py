@@ -676,6 +676,7 @@ def population_revisiter(
     """
     from ..crawler.crawl import Crawler
     from ..crawler.vm import OSEnvironment
+    from ..netlog.codec import codec_for_suffix
 
     def revisit(crawl: str, os_name: str, domain: str) -> bool:
         website = population.by_domain.get(domain)
@@ -687,42 +688,33 @@ def population_revisiter(
             if monitor_window_ms is not None
             else OSEnvironment.for_os(os_name)
         )
+        # The rewrite keeps the format of the document it replaces; only
+        # a visit with no document yet takes the codec default.
+        replaced = (
+            archive.path_for(crawl, os_name, domain) if archive is not None else None
+        )
         crawler = Crawler(
             environment,
             detector=detector,
             check_connectivity=False,
             include_internal=include_internal,
             capture_netlog=archive is not None,
+            netlog_format=(
+                codec_for_suffix(replaced.suffix).name
+                if replaced is not None and replaced.exists()
+                else None
+            ),
         )
         record = crawler.crawl_site(website)
-        store.record_visit(
-            crawl,
-            domain,
-            os_name,
-            success=record.success,
-            error=int(record.error),
-            rank=record.rank,
-            category=record.category,
-            skipped=record.connectivity_skipped,
-            attempts=record.attempts,
-            detection=record.detection if record.has_local_activity else None,
-            webrtc_policy=webrtc_policy,
-        )
+        record.record_into(store, crawl, os_name, webrtc_policy)
         if archive is not None and record.netlog is not None:
-            meta = {
-                "crawl": crawl,
-                "domain": domain,
-                "os": os_name,
-                "success": record.success,
-                "error": int(record.error),
-                "rank": record.rank,
-                "category": record.category,
-                "skipped": record.connectivity_skipped,
-                "attempts": record.attempts,
-            }
-            if webrtc_policy is not None:
-                meta["webrtc_policy"] = webrtc_policy
-            archive.write_buffered(crawl, os_name, domain, record.netlog, meta=meta)
+            archive.write_buffered(
+                crawl,
+                os_name,
+                domain,
+                record.netlog,
+                meta=record.visit_meta(crawl, os_name, webrtc_policy),
+            )
         return True
 
     return revisit

@@ -332,3 +332,44 @@ class TestStoreSatellites:
         assert store.delete_visit("c", "d.com", "windows") == 1
         assert store.visit_count() == 0
         assert store.delete_visit("c", "d.com", "windows") == 0
+
+
+class TestRevisitKeepsFormat:
+    """A tier-2 re-visit rewrites a damaged document in its own format,
+    whatever the capture default (``REPRO_NETLOG_FORMAT``) says."""
+
+    @pytest.mark.parametrize(
+        "stored,default", [("json", "binary"), ("binary", "json")]
+    )
+    def test_rewrite_keeps_the_replaced_documents_format(
+        self, tmp_path, monkeypatch, stored, default
+    ):
+        population = build_top_population(2020, scale=0.001)
+        store = TelemetryStore(str(tmp_path / "telemetry.db"))
+        archive = NetLogArchive(tmp_path / "netlogs")
+        Campaign(
+            store=store, netlog_archive=archive, netlog_format=stored
+        ).run(population)
+        store.commit()
+        before = campaign_digest(store, population.name)
+        _, domain, os_name = _first_active_visit(store, population.name)
+        path = archive.path_for(population.name, os_name, domain)
+        assert path == archive.path_for(
+            population.name, os_name, domain, format=stored
+        )
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        monkeypatch.setenv("REPRO_NETLOG_FORMAT", default)
+        revisit = population_revisiter(population, store, archive)
+        report = fsck(store, archive, repair=True, revisit=revisit)
+        assert [(f.kind, f.repair_tier) for f in report.findings] == [
+            (FsckKind.ARCHIVE_DAMAGE, "revisit")
+        ]
+        assert path.exists()
+        assert not archive.path_for(
+            population.name, os_name, domain, format=default
+        ).exists()
+        assert fsck(store, archive).clean
+        assert campaign_digest(store, population.name) == before

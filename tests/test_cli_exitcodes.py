@@ -219,3 +219,64 @@ class TestServe:
     def test_invalid_config_is_usage(self, capsys):
         assert main(["serve", "--workers", "0"]) == EXIT_USAGE
         assert "workers" in capsys.readouterr().err
+
+
+#: Output flags whose location is checked before any work, with the
+#: argv prefix that reaches each one cheaply.
+_OUTPUT_FLAGS = {
+    "study --db": ["study", "--scale", "0.001", "--db"],
+    "study --netlog-dir": ["study", "--scale", "0.001", "--netlog-dir"],
+    "study --metrics-out": ["study", "--scale", "0.001", "--metrics-out"],
+    "study --trace-out": ["study", "--scale", "0.001", "--trace-out"],
+    "serve --db": ["serve", "--port", "0", "--db"],
+    "report -o": ["report", "--scale", "0.001", "-o"],
+    "chaos run --report": [
+        "chaos", "run", "--drivers", "campaign", "--budget", "1",
+        "--scale", "0.001", "--report",
+    ],
+}
+
+
+class TestUnusableOutputLocation:
+    """An output location that cannot be written is refused up front:
+    exit 2 with one ``error: cannot write …`` line, nothing run."""
+
+    @pytest.mark.parametrize("flag", sorted(_OUTPUT_FLAGS))
+    def test_under_a_regular_file(self, flag, tmp_path, capsys):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("x")
+        location = blocker / "out"
+        code = main(_OUTPUT_FLAGS[flag] + [str(location)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {location}: {blocker} is not a directory\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["study --metrics-out", "study --trace-out", "report -o", "chaos run --report"],
+    )
+    def test_in_a_missing_directory(self, flag, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        location = missing / "out"
+        code = main(_OUTPUT_FLAGS[flag] + [str(location)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {location}: {missing} does not exist\n"
+        )
+        assert not missing.exists()
+
+    def test_stores_and_archives_still_create_missing_directories(
+        self, tmp_path, capsys
+    ):
+        db = tmp_path / "a" / "crawl.db"
+        netlogs = tmp_path / "b" / "c" / "netlogs"
+        code = main(
+            ["study", "--scale", "0.0001", "--db", str(db), "--netlog-dir", str(netlogs)]
+        )
+        assert code == EXIT_OK
+        assert db.exists() and netlogs.is_dir()
