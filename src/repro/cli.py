@@ -829,7 +829,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         shards = resolve_shards(args.shards)
         across, meta = f" across {shards} shard processes", {"shards": shards}
     _check_output(args.db, makedirs=True)
-    _check_output(args.netlog_dir, directory=True, makedirs=True)
+    for directory in (args.netlog_dir, args.shard_dir):
+        _check_output(directory, directory=True, makedirs=True)
     for path in (args.metrics_out, args.trace_out):
         _check_output(path)
 
@@ -1144,6 +1145,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _check_output(args.db, makedirs=True)
+    _check_output(args.spool_dir, directory=True, makedirs=True)
 
     # /metricsz is part of the surface, so the daemon always observes.
     obs.enable()

@@ -27,7 +27,6 @@ from ..netlog.pipeline import EventSink, ListSink, Tee
 from ..netlog.binary import BinaryNetLogBuffer
 from ..netlog.codec import make_capture_buffer
 from ..netlog.writer import NetLogBuffer
-from ..web.population import CrawlPopulation
 from ..web.website import Website
 from .connectivity import ConnectivityChecker
 from .retry import NO_RETRY, RetryPolicy, VirtualClock
@@ -109,6 +108,34 @@ class CrawlRecord:
         if webrtc_policy is not None:
             meta["webrtc_policy"] = webrtc_policy
         return meta
+
+    @classmethod
+    def from_visit_meta(
+        cls,
+        meta: dict,
+        domain: str,
+        os_name: str,
+        detection: DetectionResult | None,
+    ) -> "CrawlRecord":
+        """The record a :meth:`visit_meta` block describes (its inverse).
+
+        A key the block lacks takes the value of a clean visit: success,
+        error 0, no rank or category, not skipped, one attempt.  The
+        error code is kept as the int the block holds, which need not be
+        a :class:`NetError` member.  ``domain`` and ``os_name`` name the
+        row to rebuild; ``detection`` is the document's re-run detection.
+        """
+        return cls(
+            domain=domain,
+            os_name=os_name,
+            success=bool(meta.get("success", True)),
+            error=int(meta.get("error", 0)),
+            rank=meta.get("rank"),
+            category=meta.get("category"),
+            detection=detection,
+            connectivity_skipped=bool(meta.get("skipped", False)),
+            attempts=int(meta.get("attempts", 1)),
+        )
 
     def record_into(
         self, store, crawl: str, os_name: str, webrtc_policy: str | None
@@ -387,14 +414,3 @@ class Crawler:
         """Visit each website once, in order, yielding records."""
         for website in websites:
             yield self.crawl_site(website)
-
-    def crawl_population(
-        self, population: CrawlPopulation
-    ) -> tuple[list[CrawlRecord], CrawlStats]:
-        """Crawl a whole population on this OS, with stats accounting."""
-        stats = CrawlStats(os_name=self.environment.os_name, crawl=population.name)
-        records: list[CrawlRecord] = []
-        for record in self.crawl(population.websites):
-            stats.record(record)
-            records.append(record)
-        return records, stats

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import os
 import time
 from contextlib import contextmanager
@@ -34,7 +35,6 @@ from .. import obs
 from .codec import (
     ARCHIVE_SUFFIXES,
     FORMAT_BINARY,
-    codec_for_suffix,
     get_codec,
     sniff_format,
 )
@@ -69,6 +69,36 @@ CorruptHook = Callable[[Union[str, bytes], str], Union[str, bytes]]
 def _safe_component(name: str) -> str:
     """A path-safe single component (domains may not traverse)."""
     return name.replace(os.sep, "_").replace("..", "_") or "_"
+
+
+_entry_name = operator.attrgetter("name")
+
+
+def _walk_documents(
+    directory: str, folder: str, found: list[tuple[str, str, str]]
+) -> None:
+    """Append ``(folder, stem, path)`` for every document below ``directory``.
+
+    Each directory's entries are visited in name order, descending into
+    subdirectories where their names fall, which yields paths in the
+    component-wise order ``sorted()`` gives ``Path`` objects.  Only
+    regular files (or links to them) with an archive suffix count;
+    symlinked directories are not followed, and a directory that cannot
+    be listed is skipped, as ``os.walk`` does.  The stem is the file
+    name up to its last dot, or the whole name when that dot leads it,
+    as ``Path.stem`` has it.
+    """
+    try:
+        with os.scandir(directory) as scan:
+            entries = sorted(scan, key=_entry_name)
+    except OSError:
+        return
+    for entry in entries:
+        name = entry.name
+        if entry.is_dir(follow_symlinks=False):
+            _walk_documents(entry.path, name, found)
+        elif name.endswith(ARCHIVE_SUFFIXES) and entry.is_file():
+            found.append((folder, name[: name.rfind(".")] or name, entry.path))
 
 
 class NetLogArchive:
@@ -111,7 +141,7 @@ class NetLogArchive:
         """The ``(path.parent.name, path.stem)`` of a visit's document.
 
         :meth:`path_for` builds its names from this pair, so a set of keys
-        taken from one :meth:`entries` listing answers "is this visit
+        taken from one :meth:`documents` listing answers "is this visit
         archived?" without a ``stat`` per visit.
         """
         return _safe_component(os_name), _safe_component(domain)
@@ -119,21 +149,28 @@ class NetLogArchive:
     def exists(self, crawl: str, os_name: str, domain: str) -> bool:
         return self.path_for(crawl, os_name, domain).exists()
 
+    def documents(self, crawl: str | None = None) -> list[tuple[str, str, str]]:
+        """``(folder name, stem, path)`` of every archived document.
+
+        One walk over path strings, optionally below one crawl: regular
+        files with an archive suffix, at any depth, in :meth:`entries`
+        order.  ``(folder name, stem)`` is the document's
+        :meth:`document_key` (the name of the folder holding it, and its
+        file name without the suffix), so fsck matches rows to documents
+        and hands paths to the verifier without building a ``Path`` per
+        document.
+        """
+        top = str(self.root)
+        if crawl is not None:
+            top = os.path.join(top, _safe_component(crawl))
+        found: list[tuple[str, str, str]] = []
+        _walk_documents(top, os.path.basename(top), found)
+        return found
+
     def entries(self, crawl: str | None = None) -> Iterator[Path]:
         """All archived documents (optionally for one crawl), sorted."""
-        roots = (
-            [self.root / _safe_component(crawl)]
-            if crawl is not None
-            else [self.root]
-        )
-        for base in roots:
-            if base.is_dir():
-                found = [
-                    path
-                    for suffix in ARCHIVE_SUFFIXES
-                    for path in base.rglob(f"*{suffix}")
-                ]
-                yield from sorted(found)
+        for _, _, path in self.documents(crawl):
+            yield Path(path)
 
     # -- write -------------------------------------------------------------
 

@@ -37,8 +37,8 @@ Integrity is two-layered:
   be transcoded between formats without touching its checksum chain, and
   ``repro fsck`` audits both formats against one contract (the
   ``verify="full"`` regime of :func:`iter_events_binary` re-derives the
-  canonical forms through the JSON parsers'
-  :class:`~repro.netlog.parser.ChainVerifier`).
+  canonical forms from each frame's fields and walks them through the
+  JSON parsers' :class:`~repro.netlog.parser.ChainVerifier`).
 
 Salvage semantics mirror the JSON parsers: with ``strict=False`` a
 truncated, NUL-padded, torn or bit-flipped document yields every event in
@@ -68,7 +68,9 @@ from .parser import (
 from .writer import (
     CHAIN_SEED,
     CHECKSUM_ALGORITHM,
+    NO_PARAMS,
     canonical_event_bytes,
+    canonical_fields_bytes,
     constants_json,
     encode_compact,
     encode_json,
@@ -517,8 +519,10 @@ def iter_events_binary(
       continuity; catches every accidental-damage shape without
       re-canonicalising.
     * ``"full"`` — additionally re-derives each checksummed record's
-      canonical JSON form and walks the crc32-chain-v1 chain through the
-      shared :class:`ChainVerifier`, exactly as the JSON parsers do.
+      canonical JSON form, formatted straight from the frame's fields by
+      :func:`~repro.netlog.writer.canonical_fields_bytes` (no record dict
+      is built), and walks the crc32-chain-v1 chain through the shared
+      :class:`ChainVerifier`, exactly as the JSON parsers do.
 
     Salvage semantics (``strict=False``) mirror the JSON parsers: the
     intact prefix is yielded and the damage is accounted in ``stats``.
@@ -543,6 +547,7 @@ def iter_events_binary(
     expected = 0  # next record index
     seen = 0  # record frames consumed, resync-independent
     seen_checksums = False
+    crc: int | None = None
     last_chain: int | None = None
     synced = True
     saw_trailer = False
@@ -562,7 +567,7 @@ def iter_events_binary(
                 seen += 1
                 if checksummed:
                     seen_checksums = True
-                    last_chain = unpack_integrity(payload, prelude_size)[1]
+                    crc, last_chain = unpack_integrity(payload, prelude_size)
                 if verifier is None:
                     if index != expected:
                         # Records lost, reordered or spliced: drop the
@@ -582,11 +587,22 @@ def iter_events_binary(
                     expected = index + 1
                     if checksummed and stats is not None:
                         stats.verified += 1
-                    record = None
                 else:
                     expected = index + 1
+                    # The fields of the record _record_from_payload would
+                    # build, hashed in canonical form without building it.
                     try:
-                        record = _record_from_payload(payload)
+                        record_time = (
+                            int(time_value) if flags & FLAG_INT_TIME else time_value
+                        )
+                        params = (
+                            _decode_params(
+                                payload,
+                                integrity_end if checksummed else prelude_size,
+                            )
+                            if flags & FLAG_PARAMS
+                            else {}
+                        )
                     except ValueError as exc:
                         # The JSON walk's accounting for a record it
                         # cannot decode: malformed, and a chain gap.
@@ -598,7 +614,21 @@ def iter_events_binary(
                             stats.dropped_malformed += 1
                         verifier.mark_gap(stats)
                         continue
-                    if not verifier.verify(record, strict=strict, stats=stats):
+                    canonical = (
+                        canonical_fields_bytes(
+                            record_time,
+                            type_code,
+                            source_id,
+                            source_type,
+                            phase,
+                            params if flags & FLAG_PARAMS else NO_PARAMS,
+                        )
+                        if checksummed
+                        else None
+                    )
+                    if not verifier.verify_canonical(
+                        canonical, crc, last_chain, strict=strict, stats=stats
+                    ):
                         continue
                 event_type = event_type_of.get(type_code)
                 if event_type is None:
@@ -621,15 +651,15 @@ def iter_events_binary(
                         stats.dropped_malformed += 1
                     continue
                 try:
-                    if record is not None:
-                        params = record.get("params", {})
-                    elif flags & FLAG_PARAMS:
-                        params = _decode_params(
-                            payload,
-                            integrity_end if checksummed else prelude_size,
+                    if verifier is None:
+                        params = (
+                            _decode_params(
+                                payload,
+                                integrity_end if checksummed else prelude_size,
+                            )
+                            if flags & FLAG_PARAMS
+                            else {}
                         )
-                    else:
-                        params = {}
                     if not isinstance(params, dict):
                         raise ValueError("event params must be an object")
                 except ValueError as exc:

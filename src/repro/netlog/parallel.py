@@ -62,7 +62,8 @@ def verify_document(path: str | Path) -> ParseStats:
     and divergence at record 0 unless the walk had already pinned it —
     so one foreign file is flagged by an audit instead of aborting it.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fp:
+        raw = fp.read()
     stats = ParseStats()
     try:
         loads(raw, strict=False, stats=stats, verify="full")
@@ -113,31 +114,39 @@ def _analyze_one(path_str: str) -> DocumentSummary:
 
 
 def _pool_map(worker, items: Sequence[str], jobs: int) -> list:
-    """Order-preserving map over a spawn-based process pool."""
+    """Order-preserving map over a spawn-based process pool.
+
+    Items travel in chunks, about four per worker (the
+    ``multiprocessing.Pool.map`` default), so a pool pays one round
+    trip per chunk instead of one per document.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    chunksize = -(-len(items) // (jobs * 4))
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(
         max_workers=jobs, mp_context=context
     ) as executor:
-        return list(executor.map(worker, items))
+        return list(executor.map(worker, items, chunksize=chunksize))
 
 
 def verify_paths(
     paths: Iterable[str | Path], *, jobs: int | None = None
-) -> list[tuple[Path, ParseStats]]:
+) -> list[tuple[str | Path, ParseStats]]:
     """Fully verify many archived documents, optionally in parallel.
 
-    Returns ``(path, stats)`` pairs in input order regardless of worker
-    count, so fsck reports are byte-stable under ``--jobs N``.
+    Returns ``(path, stats)`` pairs, each path as given, in input order
+    regardless of worker count, so fsck reports are byte-stable under
+    ``--jobs N``.
     """
-    ordered = [str(path) for path in paths]
+    given = list(paths)
+    ordered = [os.fspath(path) for path in given]
     effective = resolve_jobs(jobs, len(ordered))
     results = _pool_map(verify_document, ordered, effective)
-    return [(Path(path), stats) for path, stats in zip(ordered, results)]
+    return list(zip(given, results))
 
 
 def analyze_paths(

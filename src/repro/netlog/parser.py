@@ -297,11 +297,36 @@ class ChainVerifier:
         stats: ParseStats | None = None,
     ) -> bool:
         """Check one decoded record; False means it must be dropped."""
-        index = self.index
-        self.index += 1
         crc = record.get("crc")
         chain = record.get("chain")
-        if crc is None and chain is None:
+        payload = (
+            None if crc is None and chain is None else canonical_record_bytes(record)
+        )
+        return self.verify_canonical(
+            payload, crc, chain, strict=strict, stats=stats
+        )
+
+    def verify_canonical(
+        self,
+        payload: bytes | None,
+        crc: object,
+        chain: object,
+        *,
+        strict: bool = False,
+        stats: ParseStats | None = None,
+    ) -> bool:
+        """Check one record from its canonical bytes and stored integrity
+        fields; False means it must be dropped.
+
+        ``payload`` is the record's :func:`canonical_record_bytes`, or
+        None for a record that stores neither ``crc`` nor ``chain``
+        (nothing is hashed then).  :meth:`verify` derives it from a
+        record dict; the binary full regime formats it straight from a
+        frame's fields.
+        """
+        index = self.index
+        self.index += 1
+        if payload is None:
             # Legacy record.  In a document that *is* checksummed, a
             # record stripped of its integrity fields is itself damage —
             # the next checksummed record's chain will expose the gap.
@@ -309,7 +334,6 @@ class ChainVerifier:
                 self.synced = False
             return True
         self.seen_checksums = True
-        payload = canonical_record_bytes(record)
         if crc is not None and crc != zlib.crc32(payload):
             self.synced = False
             return self._fail(

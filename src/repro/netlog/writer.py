@@ -26,11 +26,13 @@ ordinary records and an unknown top-level key, so checksummed documents
 parse everywhere plain ones do.
 
 The writers encode each event once, straight from its fields:
-:func:`canonical_event_bytes` is the checksummed form and
-:class:`RecordWriter` formats the record text around one C-level encode
-of the params, with no intermediate record dict.
-:func:`event_to_record` and :func:`canonical_record_bytes` remain the
-verifier's form of the same bytes.
+:func:`canonical_fields_bytes` formats the checksummed form (for the
+writers through :func:`canonical_event_bytes`, and for the binary
+full-verify regime from each frame's fields) and :class:`RecordWriter`
+formats the record text around one C-level encode of the params, with
+no intermediate record dict.  :func:`event_to_record` and
+:func:`canonical_record_bytes` remain the verifier's form of the same
+bytes for a record dict.
 """
 
 from __future__ import annotations
@@ -111,10 +113,16 @@ def _json_encoder(
 #: ``json.dumps`` with its default separators: record text, document
 #: heads and trailers.
 encode_json = _json_encoder(", ", ": ")
-#: Compact form: the binary format's params payload.
+#: Compact form: the binary format's params payload, and the request
+#: facts of a visit digest (:func:`repro.storage.integrity.visit_digest`).
 encode_compact = _json_encoder(",", ":")
-#: Compact form with sorted keys: params inside a canonical record.
-_encode_canonical = _json_encoder(",", ":", sort_keys=True)
+#: Compact form with sorted keys: params inside a canonical record, and
+#: the document a visit digest hashes.
+encode_canonical = _json_encoder(",", ":", sort_keys=True)
+
+#: The ``params`` argument of :func:`canonical_fields_bytes` for a record
+#: without a ``params`` key (``None`` is the JSON value ``null``).
+NO_PARAMS = object()
 
 
 def _scalar(value: object) -> str:
@@ -128,23 +136,49 @@ def _scalar(value: object) -> str:
     return encode_json(value)
 
 
-def canonical_event_bytes(event: NetLogEvent) -> bytes:
-    """``canonical_record_bytes(event_to_record(event))``, encoded directly.
+def canonical_fields_bytes(
+    time_value: object,
+    type_code: int,
+    source_id: object,
+    source_type: int,
+    phase: int,
+    params: object = NO_PARAMS,
+) -> bytes:
+    """``canonical_record_bytes`` of the record with these fields, encoded
+    directly.
 
     The canonical keys sort as ``params``, ``phase``, ``source``,
     ``time``, ``type``, so only the params need a ``sort_keys`` encode;
-    the scalar fields are formatted in place.  This is the one place the
-    writers compute an event's checksummed form.
+    the integer codes and scalars are formatted in place.  The record
+    has a ``params`` key exactly when ``params`` is not
+    :data:`NO_PARAMS`, whatever its value.  This is the one place an
+    event's checksummed form is computed: both writers call it through
+    :func:`canonical_event_bytes`, and the binary full-verify regime
+    calls it with each frame's decoded fields.
     """
-    source = event.source
     fields = (
-        f'"phase":{int(event.phase)},"source":{{"id":{_scalar(source.id)},'
-        f'"type":{int(source.type)}}},"time":{_scalar(event.time)},'
-        f'"type":{int(event.type)}}}'
+        f'"phase":{phase},"source":{{"id":{_scalar(source_id)},'
+        f'"type":{source_type}}},"time":{_scalar(time_value)},'
+        f'"type":{type_code}}}'
     )
-    if event.params:
-        fields = f'"params":{_encode_canonical(event.params)},{fields}'
+    if params is not NO_PARAMS:
+        fields = f'"params":{encode_canonical(params)},{fields}'
     return ("{" + fields).encode("utf-8")
+
+
+def canonical_event_bytes(event: NetLogEvent) -> bytes:
+    """``canonical_record_bytes(event_to_record(event))``, encoded directly
+    by :func:`canonical_fields_bytes` (empty params are left out, as
+    :func:`event_to_record` leaves them out)."""
+    source = event.source
+    return canonical_fields_bytes(
+        event.time,
+        int(event.type),
+        source.id,
+        int(source.type),
+        int(event.phase),
+        event.params or NO_PARAMS,
+    )
 
 
 def event_to_record(event: NetLogEvent) -> dict:

@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .. import obs
+from ..netlog.writer import encode_canonical, encode_compact
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (db -> migrations -> here)
     from ..netlog.archive import NetLogArchive
@@ -88,10 +91,12 @@ def visit_digest(
     via_redirect, method, initiator)`` tuples.  They are sorted by their
     canonical serialisation, so the digest is insensitive to row order —
     a re-parse or re-visit that stores the same facts in a different
-    order still matches.
+    order still matches.  The serialisations are the ones ``json.dumps``
+    gives with compact separators (sorted keys for the visit document),
+    made by the NetLog writer's reusable C encoders.
     """
     request_docs = sorted(
-        json.dumps(
+        encode_compact(
             [
                 locality,
                 scheme,
@@ -102,8 +107,7 @@ def visit_digest(
                 int(bool(via_redirect)),
                 method,
                 initiator,
-            ],
-            separators=(",", ":"),
+            ]
         )
         for (
             locality,
@@ -117,7 +121,7 @@ def visit_digest(
             initiator,
         ) in requests
     )
-    payload = json.dumps(
+    payload = encode_canonical(
         {
             "algorithm": DIGEST_ALGORITHM,
             "crawl": crawl,
@@ -131,9 +135,7 @@ def visit_digest(
             "page_load_time": page_load_time,
             "total_flows": total_flows,
             "requests": request_docs,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -365,10 +367,15 @@ def fsck(
 
     _scan_orphans(store, report, repair)
     for crawl_name in crawls:
-        _scan_visits(store, archive, crawl_name, report, repair, revisit)
+        # One listing of the crawl's archive serves both scans; a repair
+        # pass lists again, since a re-visit may have written documents.
+        documents = archive.documents(crawl_name) if archive is not None else []
+        _scan_visits(store, archive, documents, crawl_name, report, repair, revisit)
         if archive is not None:
+            if repair:
+                documents = archive.documents(crawl_name)
             _scan_archive(
-                store, archive, crawl_name, report, repair, revisit, jobs
+                store, archive, documents, crawl_name, report, repair, revisit, jobs
             )
         report.campaign_digests[crawl_name] = campaign_digest(store, crawl_name)
     if repair:
@@ -411,6 +418,7 @@ def _scan_orphans(
 def _scan_visits(
     store: "TelemetryStore",
     archive: "NetLogArchive | None",
+    documents: list[tuple[str, str, str]],
     crawl: str,
     report: FsckReport,
     repair: bool,
@@ -423,14 +431,23 @@ def _scan_visits(
         "FROM visits WHERE crawl = ? ORDER BY os_name, domain",
         (crawl,),
     ).fetchall()
-    # One listing of the crawl's archive answers every membership test.
-    # Only a crawl that keeps an archive at all can miss a document
-    # (campaigns may legitimately run archive-less).
-    archived = (
-        {(path.parent.name, path.stem) for path in archive.entries(crawl)}
-        if archive is not None
-        else set()
-    )
+    # Every visit's local requests from one query, in row order per visit.
+    requests_of: dict[int, list[tuple]] = {}
+    for visit_id, group in itertools.groupby(
+        conn.execute(
+            "SELECT visit_id, locality, scheme, host, port, path, time, "
+            "via_redirect, method, initiator FROM local_requests "
+            "WHERE visit_id IN (SELECT visit_id FROM visits WHERE crawl = ?) "
+            "ORDER BY visit_id, rowid",
+            (crawl,),
+        ),
+        key=operator.itemgetter(0),
+    ):
+        requests_of[visit_id] = [row[1:] for row in group]
+    # The crawl's archive listing answers every membership test.  Only a
+    # crawl that keeps an archive at all can miss a document (campaigns
+    # may legitimately run archive-less).
+    archived = {(folder, stem) for folder, stem, _ in documents}
     for (
         visit_id,
         domain,
@@ -446,12 +463,7 @@ def _scan_visits(
         request_count,
     ) in rows:
         report.scanned_visits += 1
-        requests = conn.execute(
-            "SELECT locality, scheme, host, port, path, time, via_redirect, "
-            "method, initiator FROM local_requests WHERE visit_id = ? "
-            "ORDER BY rowid",
-            (visit_id,),
-        ).fetchall()
+        requests = requests_of.get(visit_id, [])
         finding: FsckFinding | None = None
         if len(requests) != int(request_count or 0):
             finding = FsckFinding(
@@ -521,6 +533,7 @@ def _scan_visits(
 def _scan_archive(
     store: "TelemetryStore",
     archive: "NetLogArchive",
+    documents: list[tuple[str, str, str]],
     crawl: str,
     report: FsckReport,
     repair: bool,
@@ -540,9 +553,9 @@ def _scan_archive(
     # at any worker count.
     from ..netlog.parallel import verify_paths
 
-    for path, stats in verify_paths(list(archive.entries(crawl)), jobs=jobs):
+    verified = verify_paths([path for _, _, path in documents], jobs=jobs)
+    for (os_name, domain, _), (_, stats) in zip(documents, verified):
         report.scanned_archives += 1
-        os_name, domain = path.parent.name, path.stem
         if not _archive_clean(stats):
             finding = FsckFinding(
                 kind=FsckKind.ARCHIVE_DAMAGE,
@@ -622,6 +635,7 @@ def _reparse_row(
 ) -> bool:
     """Tier-1 repair: rebuild one visit row from its archived NetLog."""
     from ..core.detector import LocalTrafficDetector
+    from ..crawler.crawl import CrawlRecord
     from ..netlog.parser import ParseStats
 
     path = archive.path_for(crawl, os_name, domain)
@@ -637,20 +651,9 @@ def _reparse_row(
     result = archive.stream_into(crawl, os_name, domain, sink, stats=stats)
     if result is None or not _archive_clean(stats):
         return False
-    detection = result
     store.delete_visit(crawl, domain, os_name)
-    store.record_visit(
-        crawl,
-        domain,
-        os_name,
-        success=bool(meta.get("success", True)),
-        error=int(meta.get("error", 0)),
-        rank=meta.get("rank"),
-        category=meta.get("category"),
-        skipped=bool(meta.get("skipped", False)),
-        attempts=int(meta.get("attempts", 1)),
-        detection=detection if detection.has_local_activity else None,
-        webrtc_policy=meta.get("webrtc_policy"),
+    CrawlRecord.from_visit_meta(meta, domain, os_name, result).record_into(
+        store, crawl, os_name, meta.get("webrtc_policy")
     )
     return True
 

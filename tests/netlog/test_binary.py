@@ -39,11 +39,23 @@ from repro.netlog.binary import (
     _FRAME_HEAD,
     _INTEGRITY,
     _PRELUDE,
+    FLAG_INT_TIME,
     FLAG_INTEGRITY,
+    FLAG_PARAMS,
     MAGIC,
     TAG_EVENT,
+    _frame,
+    _record_from_payload,
+    write_binary_head,
+    write_binary_tail,
 )
 from repro.netlog.parallel import verify_document
+from repro.netlog.writer import (
+    CHAIN_SEED,
+    NO_PARAMS,
+    canonical_fields_bytes,
+    canonical_record_bytes,
+)
 
 
 def _event(time=0.0, source_id=1, params=None):
@@ -406,3 +418,103 @@ class TestTranscoding:
         text = json.dumps(document)
         round_tripped = json.loads(to_json(to_binary(text)))
         assert round_tripped["constants"] == document["constants"]
+
+
+#: Edge frames for the full regime's canonical formatter:
+#: ``(time, extra flags, source id, params bytes or None)``.
+_EDGE_FRAMES = {
+    "params-empty-object": (1.5, 0, 1, b"{}"),
+    "params-null": (1.5, 0, 1, b"null"),
+    "params-list": (1.5, 0, 1, b'[3,"b",{"z":1,"a":2}]'),
+    "params-nested-unsorted-non-ascii": (
+        1.5,
+        0,
+        1,
+        json.dumps(
+            {"z\u00e9": {"b": 1, "a": ["\u00fc", {"y": 2, "x": None}]}, "a": "\u2603"},
+            ensure_ascii=False,
+            separators=(",", ":"),
+        ).encode("utf-8"),
+    ),
+    "no-params": (1.5, 0, 1, None),
+    "int-time": (7.0, FLAG_INT_TIME, 1, b'{"url":"http://localhost/"}'),
+    "time-nan": (float("nan"), 0, 1, b'{"url":"http://localhost/"}'),
+    "time-negative-zero": (-0.0, 0, 1, b'{"url":"http://localhost/"}'),
+    "time-1e-7": (1e-7, 0, 1, b'{"url":"http://localhost/"}'),
+    "time-1e300": (1e300, 0, 1, b'{"url":"http://localhost/"}'),
+    "max-source-id": (1.5, 0, 2**32 - 1, b'{"url":"http://localhost/"}'),
+}
+
+
+def _edge_payload(name, *, crc_delta=0):
+    """One checksummed event payload whose crc/chain are the reference
+    ``canonical_record_bytes(_record_from_payload(payload))`` values."""
+    time_value, flags, source_id, params = _EDGE_FRAMES[name]
+    flags |= FLAG_INTEGRITY | (FLAG_PARAMS if params is not None else 0)
+    prelude = _PRELUDE.pack(
+        0,
+        time_value,
+        int(EventType.URL_REQUEST_START_JOB),
+        source_id,
+        int(SourceType.URL_REQUEST),
+        int(EventPhase.BEGIN),
+        flags,
+    )
+    body = params or b""
+    reference = canonical_record_bytes(
+        _record_from_payload(prelude + _INTEGRITY.pack(0, 0) + body)
+    )
+    crc = zlib.crc32(reference)
+    integrity = _INTEGRITY.pack(crc ^ crc_delta, zlib.crc32(reference, CHAIN_SEED))
+    return prelude + integrity + body, reference
+
+
+def _edge_document(payload):
+    out = io.BytesIO()
+    write_binary_head(out)
+    out.write(_frame(TAG_EVENT, payload))
+    chain = _INTEGRITY.unpack_from(payload, _PRELUDE.size)[1]
+    write_binary_tail(out, checksums=True, count=1, chain=chain)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_FRAMES))
+class TestCanonicalFromFrameFields:
+    """The full regime hashes each record's canonical form formatted
+    straight from the frame's fields; it must equal the verifier's
+    reference form of the record dict the frame decodes to."""
+
+    def test_formatter_matches_the_record_reference(self, name):
+        payload, reference = _edge_payload(name)
+        record = _record_from_payload(payload)
+        source = record["source"]
+        assert (
+            canonical_fields_bytes(
+                record["time"],
+                record["type"],
+                source["id"],
+                source["type"],
+                record["phase"],
+                record.get("params", NO_PARAMS),
+            )
+            == reference
+        )
+
+    def test_full_regime_verifies_the_frame(self, name, source_of):
+        payload, _ = _edge_payload(name)
+        data = _edge_document(payload)
+        stats = ParseStats()
+        _parse(data, source_of, stats, verify="full")
+        assert (stats.verified, stats.checksum_failures, stats.chain_breaks) == (1, 0, 0)
+        assert stats.first_divergence is None
+        # The JSON walk's chain check over the transcoded document agrees.
+        json_stats = ParseStats()
+        loads(to_json(data), strict=False, stats=json_stats)
+        assert (json_stats.verified, json_stats.checksum_failures) == (1, 0)
+        assert (json_stats.chain_breaks, json_stats.first_divergence) == (0, None)
+
+    def test_full_regime_catches_a_wrong_crc(self, name, source_of):
+        payload, _ = _edge_payload(name, crc_delta=1)
+        stats = ParseStats()
+        _parse(_edge_document(payload), source_of, stats, verify="full")
+        assert (stats.verified, stats.checksum_failures) == (0, 1)

@@ -199,6 +199,21 @@ class TestFsckDetection:
         ]
         assert report.scanned_archives == len(docs)
 
+    def test_directory_named_like_a_document_is_not_listed(
+        self, clean_run, population, tmp_path
+    ):
+        # Only regular files are documents: a folder whose name ends in
+        # an archive suffix neither aborts the audit nor counts as one.
+        store, archive, _ = clean_run
+        copy = NetLogArchive(shutil.copytree(archive.root, tmp_path / "netlogs"))
+        docs = list(copy.entries(population.name))
+        (docs[0].parent / "weird.json").mkdir()
+        (docs[0].parent / "weird.nlbin").mkdir()
+        assert list(copy.entries(population.name)) == docs
+        report = fsck(store, copy)
+        assert report.clean
+        assert report.scanned_archives == len(docs)
+
     def test_report_json_is_machine_readable(self, damaged_run, population):
         store, archive, _ = damaged_run
         _, domain, os_name = _first_active_visit(store, population.name)

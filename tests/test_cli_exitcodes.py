@@ -228,7 +228,9 @@ _OUTPUT_FLAGS = {
     "study --netlog-dir": ["study", "--scale", "0.001", "--netlog-dir"],
     "study --metrics-out": ["study", "--scale", "0.001", "--metrics-out"],
     "study --trace-out": ["study", "--scale", "0.001", "--trace-out"],
+    "study --shard-dir": ["study", "--scale", "0.001", "--shards", "1", "--shard-dir"],
     "serve --db": ["serve", "--port", "0", "--db"],
+    "serve --spool-dir": ["serve", "--port", "0", "--spool-dir"],
     "report -o": ["report", "--scale", "0.001", "-o"],
     "chaos run --report": [
         "chaos", "run", "--drivers", "campaign", "--budget", "1",
