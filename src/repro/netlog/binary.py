@@ -64,6 +64,7 @@ from .parser import (
     NetLogParseError,
     NetLogTruncationError,
     ParseStats,
+    event_params,
 )
 from .writer import (
     CHAIN_SEED,
@@ -225,7 +226,7 @@ class BinaryRecordWriter:
             int(source.type),
             int(event.phase),
             integrity,
-            event.params,
+            event.params or NO_PARAMS,
         )
 
     def write_record(self, record: dict) -> None:
@@ -247,7 +248,7 @@ class BinaryRecordWriter:
             int(source.get("type", 0)),
             int(record.get("phase", 0)),
             integrity,
-            record.get("params"),
+            record.get("params", NO_PARAMS),
         )
 
     def _write_frame(
@@ -262,12 +263,16 @@ class BinaryRecordWriter:
     ) -> None:
         """Pack one event frame.  ``FLAG_INT_TIME`` keeps an int ``time``
         an int when the frame is decoded back to a record, as the
-        canonical form (``7``, not ``7.0``) the crc covers requires."""
+        canonical form (``7``, not ``7.0``) the crc covers requires;
+        ``FLAG_PARAMS`` is set exactly when ``params`` is not
+        :data:`~repro.netlog.writer.NO_PARAMS`, so a record's ``params``
+        key survives whatever its value (``{}`` and ``null`` are in the
+        canonical form too)."""
         flags = FLAG_INTEGRITY if integrity else 0
         if isinstance(time_value, int) and not isinstance(time_value, bool):
             flags |= FLAG_INT_TIME
         params_bytes = b""
-        if params:
+        if params is not NO_PARAMS:
             flags |= FLAG_PARAMS
             params_bytes = encode_compact(params).encode("utf-8")
         body = (
@@ -477,7 +482,8 @@ def _record_from_payload(payload: bytes) -> dict:
     is byte-identical to one the JSON writer would emit.  ``FLAG_INT_TIME``
     restores the int-ness of ``time`` (canonical forms distinguish
     ``7`` from ``7.0``).  Raises ``ValueError`` when the params bytes are
-    not JSON.
+    not JSON, and ``OverflowError`` or ``ValueError`` when an int
+    ``time`` is infinite or NaN.
     """
     index, time_value, type_code, source_id, source_type, phase, flags = (
         _PRELUDE.unpack_from(payload, 0)
@@ -526,6 +532,24 @@ def iter_events_binary(
 
     Salvage semantics (``strict=False``) mirror the JSON parsers: the
     intact prefix is yielded and the damage is accounted in ``stats``.
+    """
+    return _event_loop(source, strict, stats, verify, True)
+
+
+def _event_loop(
+    source: bytes | memoryview | IO[bytes],
+    strict: bool,
+    stats: ParseStats | None,
+    verify: str,
+    build: bool,
+) -> Iterator[NetLogEvent]:
+    """The one binary event loop, behind :func:`iter_events_binary`.
+
+    ``build`` False runs it for ``stats`` only: every frame is checked
+    and accounted exactly as with ``build`` True, but no event is
+    constructed and nothing is yielded.  The audit
+    (:func:`repro.netlog.parallel.verify_document`) runs the full regime
+    that way.
     """
     fp = _open(source, strict, stats)
     if fp is None:
@@ -591,10 +615,14 @@ def iter_events_binary(
                     expected = index + 1
                     # The fields of the record _record_from_payload would
                     # build, hashed in canonical form without building it.
+                    field = "time"
                     try:
+                        # An int time that is inf or NaN has no int form
+                        # (OverflowError or ValueError).
                         record_time = (
                             int(time_value) if flags & FLAG_INT_TIME else time_value
                         )
+                        field = "params"
                         params = (
                             _decode_params(
                                 payload,
@@ -603,12 +631,12 @@ def iter_events_binary(
                             if flags & FLAG_PARAMS
                             else {}
                         )
-                    except ValueError as exc:
+                    except (ValueError, OverflowError) as exc:
                         # The JSON walk's accounting for a record it
                         # cannot decode: malformed, and a chain gap.
                         if strict:
                             raise NetLogParseError(
-                                f"malformed params: {exc}"
+                                f"malformed {field}: {exc}"
                             ) from exc
                         if stats is not None:
                             stats.dropped_malformed += 1
@@ -660,8 +688,12 @@ def iter_events_binary(
                             if flags & FLAG_PARAMS
                             else {}
                         )
-                    if not isinstance(params, dict):
-                        raise ValueError("event params must be an object")
+                    if type(params) is not dict:
+                        # The record rule for params that are not an
+                        # object: a falsy value is empty params.
+                        params = event_params(params)
+                        if params is None:
+                            raise ValueError("event params must be an object")
                 except ValueError as exc:
                     if strict:
                         raise NetLogParseError(
@@ -672,13 +704,14 @@ def iter_events_binary(
                     continue
                 if stats is not None:
                     stats.parsed += 1
-                yield NetLogEvent(
-                    time=time_value,
-                    type=event_type,
-                    source=NetLogSource(id=source_id, type=source_kind),
-                    phase=phase_of.get(phase, none_phase),
-                    params=params,
-                )
+                if build:
+                    yield NetLogEvent(
+                        time=time_value,
+                        type=event_type,
+                        source=NetLogSource(id=source_id, type=source_kind),
+                        phase=phase_of.get(phase, none_phase),
+                        params=params,
+                    )
             elif tag == -TAG_EVENT:
                 # The frame's own CRC failed: in-place corruption.  A
                 # checksummed document counts it as a checksum failure
@@ -826,7 +859,7 @@ def read_binary_document(
                     decoded = _record_from_payload(payload)
                 else:
                     decoded = _loads(payload)
-            except (struct.error, ValueError) as exc:
+            except (struct.error, ValueError, OverflowError) as exc:
                 raise NetLogParseError(
                     f"malformed {_FRAME_KINDS[tag]} frame: {exc}"
                 ) from exc

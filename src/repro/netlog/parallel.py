@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .parser import NetLogParseError, ParseStats, loads
+from .parser import NetLogParseError, ParseStats, _audit
 
 #: Hard cap on pool size — parse workers are memory-light but there is
 #: no benefit past the physical core count.
@@ -50,11 +50,15 @@ def verify_document(path: str | Path) -> ParseStats:
     """Salvage-parse + fully verify one archived document by path.
 
     The standalone form of :meth:`NetLogArchive.verify` — importable by
-    pool workers without materialising an archive object.  One
-    whole-document :func:`~repro.netlog.parser.loads` serves both
-    encodings: JSON through C ``json.loads`` plus the shared record walk
-    (the streaming walker only salvages text that is not valid JSON),
-    binary with ``verify="full"``.
+    pool workers without materialising an archive object.  Returns
+    exactly the :class:`ParseStats` of ``loads(raw, strict=False,
+    verify="full")`` over the file's bytes, and records the same parse
+    metrics, but builds no event, event list or sink: a binary document
+    runs the frame loop's ``full`` regime with event construction off, a
+    JSON document a stats-only walk of its decoded ``events`` with the
+    parsers' :class:`~repro.netlog.parser.ChainVerifier` and record
+    rules (text that is not valid JSON salvages through the streaming
+    walker, as in a parse).
 
     Never raises on document content: a document the parser rejects
     (not a NetLog object, no ``events`` array, a value shape the record
@@ -66,7 +70,7 @@ def verify_document(path: str | Path) -> ParseStats:
         raw = fp.read()
     stats = ParseStats()
     try:
-        loads(raw, strict=False, stats=stats, verify="full")
+        _audit(raw, stats)
     except Exception:  # noqa: BLE001 — content the walk cannot take is damage
         stats.dropped_malformed += 1
         if stats.first_divergence is None:

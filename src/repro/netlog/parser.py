@@ -32,7 +32,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .. import obs
 from .constants import (
@@ -41,7 +41,7 @@ from .constants import (
     SourceType,
 )
 from .events import NetLogEvent, NetLogSource
-from .writer import CHAIN_SEED, canonical_record_bytes
+from .writer import CHAIN_SEED, canonical_record_bytes, writer_shape_bytes
 
 _PARSE_SECONDS = obs.histogram(
     "repro_netlog_parse_seconds",
@@ -161,19 +161,37 @@ def _coerce_event_type(value: object, names: dict[str, int]) -> EventType | None
     return None
 
 
-def parse_record(
-    record: dict,
-    *,
-    event_names: dict[str, int] | None = None,
-    strict: bool = True,
-    stats: ParseStats | None = None,
-) -> NetLogEvent | None:
-    """Parse a single event record.
+def event_params(value: object) -> dict | None:
+    """The record rule for ``params``: a record's event params, given
+    the value its ``params`` key holds (None when it has none).
 
-    Returns ``None`` for records that cannot become events when ``strict``
-    is False — unknown types *and* malformed fields are both
-    skip-and-count in non-strict mode; raises :class:`NetLogParseError`
-    otherwise.
+    A falsy value (absent, ``null``, ``{}``, ``[]``, ``0``, ``""``,
+    ``false``) is empty params and an object is itself; anything else
+    is malformed, which comes back as None.  Both encodings apply it:
+    the JSON walks through :func:`_classify_record`, the binary frame
+    loop to each frame's decoded params.
+    """
+    if not value:
+        return {}
+    return value if isinstance(value, dict) else None
+
+
+def _classify_record(
+    record: object,
+    event_names: dict[str, int],
+    strict: bool,
+    stats: ParseStats | None,
+    build: bool,
+) -> NetLogEvent | bool | None:
+    """The record rules: what one ``events`` slot is as an event.
+
+    A record that becomes an event is counted parsed and returned as a
+    :class:`NetLogEvent`, or as True when ``build`` is False.  A record
+    that cannot become one is counted (unknown type or malformed) and
+    comes back as None; strict mode raises :class:`NetLogParseError`
+    instead.  The parse walk and :func:`parse_record` build, the audit
+    walk (:func:`_audit_text`) only counts, so both keep one set of
+    rules.
     """
     if not isinstance(record, dict):
         if strict:
@@ -193,7 +211,7 @@ def parse_record(
             stats.dropped_malformed += 1
         return None
 
-    event_type = _coerce_event_type(record.get("type"), event_names or {})
+    event_type = _coerce_event_type(record.get("type"), event_names)
     if event_type is None:
         # Forward compatibility: a dump written by a newer binary may carry
         # event types this vocabulary has never heard of.  That is not
@@ -227,8 +245,8 @@ def parse_record(
     except ValueError:
         phase = EventPhase.NONE
 
-    params = record.get("params") or {}
-    if not isinstance(params, dict):
+    params = event_params(record.get("params"))
+    if params is None:
         if strict:
             raise NetLogParseError("event params must be an object")
         if stats is not None:
@@ -237,6 +255,8 @@ def parse_record(
 
     if stats is not None:
         stats.parsed += 1
+    if not build:
+        return True
     return NetLogEvent(
         time=time,
         type=event_type,
@@ -244,6 +264,23 @@ def parse_record(
         phase=phase,
         params=params,
     )
+
+
+def parse_record(
+    record: dict,
+    *,
+    event_names: dict[str, int] | None = None,
+    strict: bool = True,
+    stats: ParseStats | None = None,
+) -> NetLogEvent | None:
+    """Parse a single event record.
+
+    Returns ``None`` for records that cannot become events when ``strict``
+    is False — unknown types *and* malformed fields are both
+    skip-and-count in non-strict mode; raises :class:`NetLogParseError`
+    otherwise.
+    """
+    return _classify_record(record, event_names or {}, strict, stats, True)
 
 
 class ChainVerifier:
@@ -458,23 +495,41 @@ def loads(
     from .codec import coerce_document
 
     format_name, document = coerce_document(source)
+    return _observed(
+        format_name,
+        strict,
+        stats,
+        lambda own: _parse_any(
+            format_name, document, strict=strict, stats=own, verify=verify
+        ),
+    )
+
+
+def _observed(
+    format_name: str,
+    strict: bool,
+    stats: ParseStats | None,
+    body: Callable[[ParseStats | None], tuple[object, str]],
+) -> object:
+    """Run one whole-document parse body under the parse metrics.
+
+    ``body(stats)`` does the work and returns ``(result, mode)``;
+    ``result`` is returned.  With obs on, the body's wall time lands in
+    ``repro_netlog_parse_seconds{mode,format}`` and its ParseStats
+    deltas in ``repro_netlog_records_total{disposition}``, also when it
+    raises.  An internal ParseStats is used when the caller passed none;
+    deltas keep reused caller stats honest.  :func:`loads` and the audit
+    (:func:`_audit`) both run through here, so they record alike.
+    """
     if not _PARSE_SECONDS.enabled:
-        return _parse_any(
-            format_name, document, strict=strict, stats=stats, verify=verify
-        )[0]
-    # Observability wrapper around the same single parse body: time the
-    # parse and mirror per-record dispositions into counters.  An
-    # internal ParseStats is used when the caller passed none; deltas
-    # keep reused caller stats honest.
+        return body(stats)[0]
     own_stats = stats if stats is not None else ParseStats()
     before = tuple(getattr(own_stats, attr) for attr, _ in _STAT_DISPOSITIONS)
     start = time.perf_counter()
     mode = "strict" if strict else "lenient"
     try:
-        events, mode = _parse_any(
-            format_name, document, strict=strict, stats=own_stats, verify=verify
-        )
-        return events
+        result, mode = body(own_stats)
+        return result
     finally:
         _PARSE_SECONDS.observe(
             time.perf_counter() - start, labels=(mode, format_name)
@@ -483,6 +538,79 @@ def loads(
             delta = getattr(own_stats, attr) - prior
             if delta:
                 _RECORDS.inc(delta, labels=(disposition,))
+
+
+def _audit(raw: bytes, stats: ParseStats) -> None:
+    """Account one document into ``stats`` without building an event.
+
+    ``stats`` ends up exactly as ``loads(raw, strict=False, stats=stats,
+    verify="full")`` leaves it, the parse metrics record the same sample
+    and counts, and the same content raises the same exception.  A binary
+    document runs the frame loop's full regime with event construction
+    off; a JSON document the stats-only record walk of
+    :func:`_audit_text`.  This is :func:`repro.netlog.parallel.
+    verify_document`'s body.
+    """
+    from .codec import FORMAT_BINARY, coerce_document
+
+    format_name, document = coerce_document(raw)
+    if format_name == FORMAT_BINARY:
+        from .binary import _event_loop
+
+        def body(own: ParseStats | None) -> tuple[None, str]:
+            # With construction off the loop yields nothing: running it
+            # to the end is the whole audit.
+            for _ in _event_loop(document, False, own, "full", False):
+                pass
+            return None, "lenient"
+
+    else:
+
+        def body(own: ParseStats | None) -> tuple[None, str]:
+            return None, _audit_text(document, own)
+
+    _observed(format_name, False, stats, body)
+
+
+def _audit_text(text: str, stats: ParseStats | None) -> str:
+    """The JSON audit: :func:`_parse_text` in salvage mode, for stats only.
+
+    Returns the parse mode.  Text that is not valid JSON salvages through
+    the streaming walker, as in a parse.  A decoded document runs the
+    record walk of :func:`walk_records` with the same
+    :class:`ChainVerifier` and record rules (:func:`_classify_record`),
+    building no event; the one difference is where a checksummed
+    record's canonical bytes come from: a record of the writers' shape
+    is formatted from its fields (:func:`~repro.netlog.writer.
+    writer_shape_bytes`), any other record by
+    :func:`~repro.netlog.writer.canonical_record_bytes`, the bytes the
+    parse hashes.
+    """
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError:
+        _salvage(text, stats)
+        return "salvage"
+    event_names, records = _events_array(document)
+    verifier = ChainVerifier()
+    verify = verifier.verify_canonical
+    for record in records:
+        if isinstance(record, dict):
+            crc = record.get("crc")
+            chain = record.get("chain")
+            if crc is None and chain is None:
+                payload = None
+            else:
+                payload = writer_shape_bytes(record) or canonical_record_bytes(
+                    record
+                )
+            if not verify(payload, crc, chain, stats=stats):
+                continue
+        else:
+            verifier.mark_gap(stats)
+        _classify_record(record, event_names, False, stats, False)
+    verifier.check_trailer(document.get("integrity"), stats=stats)
+    return "lenient"
 
 
 def _parse_any(
@@ -550,13 +678,7 @@ def iter_events(
     :class:`NetLogIntegrityError` instead), and the hash chain plus the
     ``integrity`` trailer are checked across the whole array.
     """
-    if not isinstance(document, dict):
-        raise NetLogParseError("NetLog document must be a JSON object")
-    constants = document.get("constants") or {}
-    event_names = constants.get("logEventTypes") or {}
-    raw_events = document.get("events")
-    if not isinstance(raw_events, list):
-        raise NetLogParseError("NetLog document missing 'events' array")
+    event_names, raw_events = _events_array(document)
     verifier = ChainVerifier()
     yield from walk_records(
         raw_events, event_names, verifier, strict=strict, stats=stats
@@ -564,6 +686,19 @@ def iter_events(
     verifier.check_trailer(
         document.get("integrity"), strict=strict, stats=stats
     )
+
+
+def _events_array(document: object) -> tuple[dict, list]:
+    """A decoded document's event-type name table and ``events`` list;
+    raises :class:`NetLogParseError` when it is not a NetLog object."""
+    if not isinstance(document, dict):
+        raise NetLogParseError("NetLog document must be a JSON object")
+    constants = document.get("constants") or {}
+    event_names = constants.get("logEventTypes") or {}
+    raw_events = document.get("events")
+    if not isinstance(raw_events, list):
+        raise NetLogParseError("NetLog document missing 'events' array")
+    return event_names, raw_events
 
 
 def walk_records(
@@ -589,9 +724,7 @@ def walk_records(
                 continue
         else:
             verifier.mark_gap(stats)
-        event = parse_record(
-            record, event_names=event_names, strict=strict, stats=stats
-        )
+        event = _classify_record(record, event_names, strict, stats, True)
         if event is not None:
             yield event
 

@@ -27,8 +27,10 @@ parse everywhere plain ones do.
 
 The writers encode each event once, straight from its fields:
 :func:`canonical_fields_bytes` formats the checksummed form (for the
-writers through :func:`canonical_event_bytes`, and for the binary
-full-verify regime from each frame's fields) and :class:`RecordWriter`
+writers through :func:`canonical_event_bytes`, for the binary
+full-verify regime from each frame's fields, and for the JSON audit
+from the fields of each record of the writers' shape, through
+:func:`writer_shape_bytes`) and :class:`RecordWriter`
 formats the record text around one C-level encode of the params, with
 no intermediate record dict.  :func:`event_to_record` and
 :func:`canonical_record_bytes` remain the verifier's form of the same
@@ -153,8 +155,9 @@ def canonical_fields_bytes(
     has a ``params`` key exactly when ``params`` is not
     :data:`NO_PARAMS`, whatever its value.  This is the one place an
     event's checksummed form is computed: both writers call it through
-    :func:`canonical_event_bytes`, and the binary full-verify regime
-    calls it with each frame's decoded fields.
+    :func:`canonical_event_bytes`, the binary full-verify regime calls it
+    with each frame's decoded fields, and the JSON audit with the fields
+    of each record :func:`writer_shape_bytes` accepts.
     """
     fields = (
         f'"phase":{phase},"source":{{"id":{_scalar(source_id)},'
@@ -164,6 +167,52 @@ def canonical_fields_bytes(
     if params is not NO_PARAMS:
         fields = f'"params":{encode_canonical(params)},{fields}'
     return ("{" + fields).encode("utf-8")
+
+
+def writer_shape_bytes(record: dict) -> bytes | None:
+    """``canonical_record_bytes(record)`` formatted from the record's
+    fields by :func:`canonical_fields_bytes`, or None when the record
+    does not have the writers' shape.
+
+    The writers' shape: apart from ``crc``/``chain`` the keys are
+    exactly ``time``, ``type``, ``source`` and ``phase``, with or without
+    ``params`` (any value); ``time`` is an int or a float; ``type``,
+    ``phase`` and the source's ``id`` and ``type`` are ints; ``source``
+    has exactly those two keys.  Exact types only, so a bool or an int
+    subclass is not an int here.  Only then do the two formatters agree
+    byte for byte, so every other record takes
+    :func:`canonical_record_bytes`.
+    """
+    size = len(record) - ("crc" in record) - ("chain" in record)
+    params = record.get("params", NO_PARAMS)
+    if size != (4 if params is NO_PARAMS else 5):
+        return None
+    try:
+        time_value = record["time"]
+        type_code = record["type"]
+        source = record["source"]
+        phase = record["phase"]
+    except KeyError:
+        return None
+    time_type = type(time_value)
+    if (
+        (time_type is not float and time_type is not int)
+        or type(type_code) is not int
+        or type(phase) is not int
+        or type(source) is not dict
+        or len(source) != 2
+    ):
+        return None
+    try:
+        source_id = source["id"]
+        source_type = source["type"]
+    except KeyError:
+        return None
+    if type(source_id) is not int or type(source_type) is not int:
+        return None
+    return canonical_fields_bytes(
+        time_value, type_code, source_id, source_type, phase, params
+    )
 
 
 def canonical_event_bytes(event: NetLogEvent) -> bytes:

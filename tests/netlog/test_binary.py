@@ -55,6 +55,9 @@ from repro.netlog.writer import (
     NO_PARAMS,
     canonical_fields_bytes,
     canonical_record_bytes,
+    encode_json,
+    write_document_head,
+    write_document_tail,
 )
 
 
@@ -339,6 +342,37 @@ class TestParamsNotJson:
             _parse(damaged, source_of, strict=True, verify=verify)
 
 
+class TestFalsyParams:
+    """A frame whose params bytes decode to a falsy non-object is an
+    event with empty params in both regimes, as the JSON walk takes the
+    same record (``parser.event_params``); a truthy non-object stays a
+    malformed record."""
+
+    @pytest.mark.parametrize(
+        "params", [b"null", b"[]", b"0", b'""', b"false", b"{}"]
+    )
+    @pytest.mark.parametrize("verify", ["fast", "full"])
+    def test_is_empty_params(self, params, verify, source_of):
+        data = _with_params(dumps_binary(_events(3)), 1, params)
+        stats = ParseStats()
+        events = _parse(data, source_of, stats, verify=verify)
+        assert [e.params for e in events] == [
+            {"url": "http://localhost/"}, {}, {"url": "http://localhost/"}
+        ]
+        assert stats == ParseStats(parsed=3)
+        json_stats = ParseStats()
+        assert loads(to_json(data), strict=False, stats=json_stats) == events
+        assert json_stats == stats
+
+    @pytest.mark.parametrize("params", [b"[0]", b"1", b'"x"', b"true"])
+    @pytest.mark.parametrize("verify", ["fast", "full"])
+    def test_truthy_non_object_is_malformed(self, params, verify, source_of):
+        data = _with_params(dumps_binary(_events(3)), 1, params)
+        stats = ParseStats()
+        assert len(_parse(data, source_of, stats, verify=verify)) == 2
+        assert stats == ParseStats(parsed=2, dropped_malformed=1)
+
+
 class TestIntTime:
     """Binary capture of an int ``time``: the chain covers the canonical
     ``"time":7``, so the frame must carry ``FLAG_INT_TIME`` for a decoder
@@ -370,7 +404,104 @@ class TestIntTime:
         assert to_binary(text) == data
 
 
+def _with_int_time(data, record_index, time_value):
+    """Rewrite one event frame's time as an int ``time`` holding this
+    float (``FLAG_INT_TIME`` set) under a valid frame CRC; the stored
+    crc/chain stay as they were."""
+    offset, length = _event_frame_offsets(data)[record_index]
+    start = offset + _FRAME_HEAD.size
+    payload = data[start : start + length]
+    fields = list(_PRELUDE.unpack_from(payload))
+    fields[1] = time_value
+    fields[6] |= FLAG_INT_TIME
+    payload = _PRELUDE.pack(*fields) + payload[_PRELUDE.size :]
+    return data[:offset] + _frame(TAG_EVENT, payload) + data[start + length :]
+
+
+class TestIntTimeNotFinite:
+    """A CRC-valid event frame with ``FLAG_INT_TIME`` and an infinite or
+    NaN time, as a buggy or foreign writer would produce: the time has no
+    int form, so the full regime cannot form the record's canonical bytes
+    and counts it as it counts params it cannot decode (one malformed
+    record and a chain gap).  The fast regime never forms the int and
+    parses it."""
+
+    @pytest.fixture(
+        params=[float("inf"), float("-inf"), float("nan")],
+        ids=["inf", "-inf", "nan"],
+    )
+    def damaged(self, request):
+        data = dumps_binary(_events(3), checksums=True)
+        return _with_int_time(data, 1, request.param)
+
+    def test_full_regime_accounts_like_the_json_walk(self, damaged, source_of):
+        stats = ParseStats()
+        events = _parse(damaged, source_of, stats, verify="full")
+        assert [e.time for e in events] == [0.0, 2.0]
+        assert stats == ParseStats(
+            parsed=2, dropped_malformed=1, verified=2, first_divergence=1
+        )
+
+    def test_fast_regime_parses_the_record(self, damaged, source_of):
+        stats = ParseStats()
+        assert len(_parse(damaged, source_of, stats)) == 3
+        assert stats == ParseStats(parsed=3, verified=3)
+
+    def test_fsck_reads_past_the_record(self, damaged, tmp_path):
+        path = tmp_path / "doc.nlbin"
+        path.write_bytes(damaged)
+        assert verify_document(path) == ParseStats(
+            parsed=2, dropped_malformed=1, verified=2, first_divergence=1
+        )
+
+    def test_strict_full_regime_raises_parse_error(self, damaged, source_of):
+        with pytest.raises(NetLogParseError, match="malformed time"):
+            _parse(damaged, source_of, strict=True, verify="full")
+
+    def test_transcoder_raises_parse_error(self, damaged):
+        with pytest.raises(NetLogParseError, match="malformed event frame"):
+            to_json(damaged)
+
+
+def _writer_shaped_text(params):
+    """A checksummed two-record document in the JSON writer's exact
+    layout whose second record carries ``"params": params`` (the writers
+    never emit empty params, so it is built by hand)."""
+    records = []
+    chain = CHAIN_SEED
+    for index, value in enumerate(({"url": "http://localhost/"}, params)):
+        record = {
+            "time": float(index),
+            "type": int(EventType.URL_REQUEST_START_JOB),
+            "source": {"id": index + 1, "type": int(SourceType.URL_REQUEST)},
+            "phase": int(EventPhase.BEGIN),
+            "params": value,
+        }
+        payload = canonical_record_bytes(record)
+        chain = zlib.crc32(payload, chain)
+        records.append({**record, "crc": zlib.crc32(payload), "chain": chain})
+    out = io.StringIO()
+    write_document_head(out)
+    out.write(",\n".join(encode_json(record) for record in records))
+    write_document_tail(out, checksums=True, count=len(records), chain=chain)
+    return out.getvalue()
+
+
 class TestTranscoding:
+    @pytest.mark.parametrize(
+        "params", [{}, None], ids=["params-empty-object", "params-null"]
+    )
+    def test_checksummed_empty_params_are_lossless(self, params):
+        # The params key is in the record's canonical form whatever its
+        # value, so the frame must keep it for the chain to verify.
+        text = _writer_shaped_text(params)
+        data = to_binary(text)
+        stats = ParseStats()
+        loads(data, strict=False, stats=stats, verify="full")
+        assert stats == ParseStats(parsed=2, verified=2)
+        assert to_json(data) == text
+        assert to_binary(to_json(data)) == data
+
     @pytest.mark.parametrize("checksums", [False, True])
     def test_json_binary_json_byte_identical(self, checksums):
         text = dumps(_events(), checksums=checksums)

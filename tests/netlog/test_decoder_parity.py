@@ -18,7 +18,14 @@ the streaming scanner.
 * **Record-level corpus.** 43 splice, strip, tamper, reorder and trailer
   shapes of one checksummed 6-event document: JSON ``loads``, JSON
   streaming and the binary full regime (bytes and file) must report
-  identical events and :class:`ParseStats`.
+  identical events and :class:`ParseStats`, and the audit
+  (``parallel.verify_document``, over either encoding) identical
+  :class:`ParseStats`.
+* **Falsy params.** One record of the same document carries ``params``
+  ``null``, ``[]``, ``0``, ``""``, ``false`` or ``{}`` under a valid
+  checksum: both encodings take it as an event with empty params
+  (``parser.event_params``), in every entry point and both binary
+  regimes.
 """
 
 import dataclasses
@@ -41,6 +48,7 @@ from repro.netlog import (
     loads,
     to_binary,
 )
+from repro.netlog.parallel import verify_document
 
 from .test_binary import _events
 
@@ -259,7 +267,7 @@ def test_record_corpus_size():
     "text", [text for _, text in RECORD_VARIANTS],
     ids=[label for label, _ in RECORD_VARIANTS],
 )
-def test_encodings_agree_record_by_record(text):
+def test_encodings_agree_record_by_record(text, tmp_path):
     data = to_binary(text)
     want = _outcome(lambda stats: loads(text, strict=False, stats=stats))
     assert want[2] is None
@@ -276,3 +284,57 @@ def test_encodings_agree_record_by_record(text):
     }
     for name, parse in paths.items():
         assert _outcome(parse) == want, name
+    _assert_audit_agrees(text, data, want, tmp_path)
+
+
+def _assert_audit_agrees(text, data, want, tmp_path):
+    """The audit of either encoding reports the parse's ParseStats."""
+    for name, raw in (("json", text.encode("utf-8")), ("binary", data)):
+        path = tmp_path / f"doc.{name}"
+        path.write_bytes(raw)
+        assert dataclasses.asdict(verify_document(path)) == want[1], name
+
+
+def _falsy_params_variants():
+    base = json.loads(dumps(_events(6), checksums=True))
+    for value in (None, [], 0, "", False, {}):
+        records = [dict(record) for record in base["events"]]
+        records[2]["params"] = value
+        rechecksummed, trailer = _rechecksum(records)
+        yield json.dumps(value), json.dumps(
+            {
+                "constants": base["constants"],
+                "events": rechecksummed,
+                "integrity": trailer,
+            }
+        )
+
+
+FALSY_PARAMS_VARIANTS = list(_falsy_params_variants())
+
+
+@pytest.mark.parametrize(
+    "text", [text for _, text in FALSY_PARAMS_VARIANTS],
+    ids=[label for label, _ in FALSY_PARAMS_VARIANTS],
+)
+def test_falsy_params_are_empty_params_everywhere(text, tmp_path):
+    data = to_binary(text)
+    want = _outcome(lambda stats: loads(text, strict=False, stats=stats))
+    assert want[2] is None
+    assert want[1] == dataclasses.asdict(ParseStats(parsed=6, verified=6))
+    assert want[0][2][5] == {}
+    paths = {
+        "json streaming": lambda stats: iter_events_streaming(
+            text, strict=False, stats=stats
+        ),
+    }
+    for verify in ("fast", "full"):
+        for source, wrap in (("bytes", bytes), ("file", io.BytesIO)):
+            paths[f"binary {verify}, {source}"] = (
+                lambda stats, verify=verify, wrap=wrap: iter_events_binary(
+                    wrap(data), strict=False, stats=stats, verify=verify
+                )
+            )
+    for name, parse in paths.items():
+        assert _outcome(parse) == want, name
+    _assert_audit_agrees(text, data, want, tmp_path)

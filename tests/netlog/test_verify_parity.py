@@ -1,25 +1,63 @@
-"""Differential test: whole-document verify vs the streaming walker.
+"""Differential tests for the audit, ``parallel.verify_document``.
 
-``parallel.verify_document`` (what ``repro fsck`` runs per archived
-document) verifies JSON through the whole-document parser — C
-``json.loads`` plus the shared record walk — and leaves the incremental
-streaming walker only the text that is not valid JSON.  The streaming
-walker over the same bytes is kept here as the reference: over one
-checksummed salvage corpus both must report identical
-:class:`~repro.netlog.ParseStats`, so the swap cannot change what an
-audit sees.  Documents that are not NetLog objects at all are pinned
-separately (``tests/storage/test_integrity.py``).
+``repro fsck`` runs ``verify_document`` on every archived document.  It
+returns the :class:`~repro.netlog.ParseStats` of a whole-document
+salvage parse with full verification, ``loads(raw, strict=False,
+verify="full")``, but builds no event: a binary document runs the frame
+loop's ``full`` regime with event construction off, and a JSON document
+runs a stats-only walk of its decoded ``events`` list with the parsers'
+``ChainVerifier`` and record rules.  That walk formats the canonical
+bytes of a record of the writers' shape from its fields
+(``writer.writer_shape_bytes``); any other record takes
+``canonical_record_bytes``, as in a parse.  Two references hold it:
+
+* ``loads(raw, strict=False, verify="full")`` itself, with
+  ``verify_document``'s accounting for a document the parser rejects.
+  It runs over every corpus the decoders are pinned on (the byte-level
+  corpora and the 43 record-level shapes of ``test_decoder_parity``, in
+  both encodings), the cut/hole/flip/splice corpus below, a scale-0.001
+  campaign archive in both formats, and foreign-shaped records that take
+  the ``canonical_record_bytes`` fallback.
+* The streaming walker over the same bytes, which fsck verified JSON
+  documents with before it used the whole-document parser, over the
+  cut/hole/flip/splice corpus.
+
+A property test holds the field formatter to ``canonical_record_bytes``
+on every record it accepts, and an obs test holds the audit to the parse
+metrics ``loads`` records.  Documents that are not NetLog objects at all
+are pinned separately (``tests/storage/test_integrity.py``).
 """
 
 import io
 import json
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.netlog import ParseStats, dumps, iter_events_streaming
+from repro import obs
+from repro.netlog import (
+    CHAIN_SEED,
+    CHECKSUM_ALGORITHM,
+    EventType,
+    NetLogArchive,
+    ParseStats,
+    dumps,
+    dumps_binary,
+    iter_events_streaming,
+    loads,
+    to_binary,
+)
 from repro.netlog.parallel import verify_document
+from repro.netlog.writer import canonical_record_bytes, writer_shape_bytes
 
 from .test_binary import _events
+from .test_decoder_parity import (
+    RECORD_VARIANTS,
+    _binary_variants,
+    _json_variants,
+)
 
 #: Size of an interior NUL hole (a torn multi-block write) and the
 #: stride between hole positions.
@@ -41,6 +79,30 @@ def _reference(raw: bytes) -> ParseStats:
     ):
         pass
     return stats
+
+
+def _loads_reference(raw: bytes) -> ParseStats:
+    """What fsck reported when ``verify_document`` was a full parse."""
+    stats = ParseStats()
+    try:
+        loads(raw, strict=False, stats=stats, verify="full")
+    except Exception:  # noqa: BLE001 — as verify_document counts it
+        stats.dropped_malformed += 1
+        if stats.first_divergence is None:
+            stats.first_divergence = 0
+    return stats
+
+
+def _audit_mismatches(path, corpus):
+    """Labels of the ``(label, raw)`` documents where the audit and the
+    parse reference disagree."""
+    mismatches = []
+    for label, raw in corpus:
+        path.write_bytes(raw)
+        got, want = verify_document(path), _loads_reference(raw)
+        if got != want:
+            mismatches.append(f"{label}: {got} != {want}")
+    return mismatches
 
 
 def _cuts(doc):
@@ -75,6 +137,12 @@ def _splices(doc):
         yield f"record {index} spliced out", json.dumps(spliced)
 
 
+def _verify_corpus(doc):
+    for variants in (_cuts, _holes, _flips, _splices):
+        for label, text in variants(doc):
+            yield label, text.encode("utf-8")
+
+
 #: ParseStats fields whose being set names a damage outcome.
 _OUTCOMES = ("truncated", "dropped_malformed", "checksum_failures", "chain_breaks")
 
@@ -83,16 +151,331 @@ def test_verify_document_matches_streaming_walker(checksummed, tmp_path):
     path = tmp_path / "doc.json"
     mismatches = []
     outcomes = set()
-    for variants in (_cuts, _holes, _flips, _splices):
-        for label, text in variants(checksummed):
-            raw = text.encode("utf-8")
-            path.write_bytes(raw)
-            got, want = verify_document(path), _reference(raw)
-            if got != want:
-                mismatches.append(f"{label}: {got} != {want}")
-            outcomes.update(name for name in _OUTCOMES if getattr(got, name))
-            if not got.damaged:
-                outcomes.add("clean")
+    for label, raw in _verify_corpus(checksummed):
+        path.write_bytes(raw)
+        got, want = verify_document(path), _reference(raw)
+        if got != want:
+            mismatches.append(f"{label}: {got} != {want}")
+        outcomes.update(name for name in _OUTCOMES if getattr(got, name))
+        if not got.damaged:
+            outcomes.add("clean")
     assert not mismatches, "\n".join(mismatches[:5])
     # The corpus reaches every damage outcome, and clean documents too.
     assert outcomes == {*_OUTCOMES, "clean"}
+
+
+# ---------------------------------------------------------------------------
+# The audit against the parse it replaces
+# ---------------------------------------------------------------------------
+
+
+def test_audit_matches_loads_on_verify_corpus(checksummed, tmp_path):
+    mismatches = _audit_mismatches(tmp_path / "doc", _verify_corpus(checksummed))
+    assert not mismatches, "\n".join(mismatches[:5])
+
+
+@pytest.mark.parametrize("checksums", [False, True], ids=["plain", "checksummed"])
+def test_audit_matches_loads_on_binary_byte_corpus(checksums, tmp_path):
+    doc = dumps_binary(_events(4), checksums=checksums)
+    corpus = ((f"variant {i}", raw) for i, raw in enumerate(_binary_variants(doc)))
+    mismatches = _audit_mismatches(tmp_path / "doc", corpus)
+    assert not mismatches, "\n".join(mismatches[:5])
+
+
+@pytest.mark.parametrize("checksums", [False, True], ids=["plain", "checksummed"])
+def test_audit_matches_loads_on_json_byte_corpus(checksums, tmp_path):
+    doc = dumps(_events(4), checksums=checksums)
+    corpus = (
+        (f"variant {i}", text.encode("utf-8"))
+        for i, text in enumerate(_json_variants(doc))
+    )
+    mismatches = _audit_mismatches(tmp_path / "doc", corpus)
+    assert not mismatches, "\n".join(mismatches[:5])
+
+
+def test_audit_matches_loads_on_record_corpus(tmp_path):
+    corpus = []
+    for label, text in RECORD_VARIANTS:
+        corpus.append((f"{label} (json)", text.encode("utf-8")))
+        corpus.append((f"{label} (binary)", to_binary(text)))
+    assert len(corpus) == 86
+    mismatches = _audit_mismatches(tmp_path / "doc", corpus)
+    assert not mismatches, "\n".join(mismatches[:5])
+
+
+@pytest.fixture(scope="module", params=["json", "binary"])
+def campaign_documents(request, tmp_path_factory):
+    """Every document of a scale-0.001 campaign archive in one format."""
+    from repro.crawler.campaign import Campaign
+    from repro.web.population import build_top_population
+
+    population = build_top_population(2020, scale=0.001)
+    archive = NetLogArchive(tmp_path_factory.mktemp(request.param))
+    Campaign(netlog_archive=archive, netlog_format=request.param).run(population)
+    return list(archive.entries(population.name))
+
+
+def test_audit_matches_loads_on_campaign_archive(campaign_documents):
+    assert len(campaign_documents) > 100
+    mismatches = []
+    for path in campaign_documents:
+        got, want = verify_document(path), _loads_reference(path.read_bytes())
+        if got != want:
+            mismatches.append(f"{path.name}: {got} != {want}")
+        elif got.damaged or got.verified != got.parsed:
+            mismatches.append(f"{path.name}: not a clean audit: {got}")
+    assert not mismatches, "\n".join(mismatches[:5])
+
+
+#: Marks a key the foreign record leaves out.
+_ABSENT = object()
+
+#: Records the writers never produce, each next to writers'-shape
+#: records in a checksummed document.  The audit formats none of them
+#: from fields: they take the ``canonical_record_bytes`` fallback.
+_FOREIGN_RECORDS = {
+    "string type name": {"type": "URL_REQUEST_START_JOB"},
+    "unknown string type name": {"type": "NOT_A_TYPE"},
+    "bool type": {"type": True},
+    "bool phase": {"phase": False},
+    "bool source type": {"source": {"id": 1, "type": True}},
+    "bool source id": {"source": {"id": True, "type": 1}},
+    "bool time": {"time": True},
+    "extra key": {"extra": 1},
+    "extra source key": {"source": {"id": 1, "type": 1, "x": 0}},
+    "source without type": {"source": {"id": 1}},
+    "float source id": {"source": {"id": 1.0, "type": 1}},
+    "string source id": {"source": {"id": "1", "type": 1}},
+    "string source type": {"source": {"id": 1, "type": "1"}},
+    "list source": {"source": [1, 1]},
+    "int source": {"source": 5},
+    "null source": {"source": None},
+    "string time": {"time": "1.5"},
+    "null time": {"time": None},
+    "float type": {"type": 1.0},
+    "string phase": {"phase": "1"},
+    "null phase": {"phase": None},
+    "no phase": {"phase": _ABSENT},
+    "no time": {"time": _ABSENT},
+}
+
+#: Records the writers never produce that still have their shape, so the
+#: audit formats them from fields.
+_ODD_WRITER_SHAPES = {
+    "list params": {"params": [1, 2]},
+    "string params": {"params": "x"},
+    "null params": {"params": None},
+    "nested non-ascii params": {"params": {"zé": ["☃", {"b": 1, "a": None}]}},
+    "int time": {"time": 7},
+    "negative zero time": {"time": -0.0},
+    "unknown type code": {"type": 9999},
+    "unknown source type code": {"source": {"id": 1, "type": 250}},
+    "negative phase": {"phase": -1},
+}
+
+
+def _foreign_document(name, *, tamper=False, strip=None):
+    base = json.loads(dumps(_events(3), checksums=True))
+    records = [
+        {k: v for k, v in record.items() if k not in ("crc", "chain")}
+        for record in base["events"]
+    ]
+    for key, value in {**_FOREIGN_RECORDS, **_ODD_WRITER_SHAPES}[name].items():
+        if value is _ABSENT:
+            del records[1][key]
+        else:
+            records[1][key] = value
+    constants = {
+        **base["constants"],
+        "logEventTypes": {
+            "URL_REQUEST_START_JOB": int(EventType.URL_REQUEST_START_JOB)
+        },
+    }
+    chain = CHAIN_SEED
+    out = []
+    for record in records:
+        payload = canonical_record_bytes(record)
+        chain = zlib.crc32(payload, chain)
+        out.append({**record, "crc": zlib.crc32(payload), "chain": chain})
+    if strip is not None:
+        del out[1][strip]
+    if tamper:
+        out[1]["crc"] ^= 1
+    trailer = {"algorithm": CHECKSUM_ALGORITHM, "events": len(out), "chain": chain}
+    document = {"constants": constants, "events": out, "integrity": trailer}
+    return out[1], json.dumps(document).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted({**_FOREIGN_RECORDS, **_ODD_WRITER_SHAPES}))
+def test_audit_matches_loads_on_foreign_records(name, tmp_path):
+    corpus = []
+    for variant, kwargs in (
+        ("as checksummed", {}),
+        ("crc wrong", {"tamper": True}),
+        ("crc stripped", {"strip": "crc"}),
+        ("chain stripped", {"strip": "chain"}),
+    ):
+        record, raw = _foreign_document(name, **kwargs)
+        formatted = writer_shape_bytes(record) is not None
+        assert formatted == (name in _ODD_WRITER_SHAPES), variant
+        corpus.append((variant, raw))
+    mismatches = _audit_mismatches(tmp_path / "doc", corpus)
+    assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize(
+    "slot", [5, "x", None, True, [1, 2], []], ids=repr
+)
+def test_audit_matches_loads_on_non_object_slots(slot, tmp_path):
+    # A slot that is not an object has nothing to hash: a chain gap and
+    # one malformed record, wherever it sits.
+    document = json.loads(dumps(_events(4), checksums=True))
+    corpus = []
+    for index in range(4):
+        events = list(document["events"])
+        events[index] = slot
+        corpus.append(
+            (f"slot {index}", json.dumps({**document, "events": events}).encode())
+        )
+    mismatches = _audit_mismatches(tmp_path / "doc", corpus)
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_audit_formats_writer_records_from_fields(monkeypatch, tmp_path):
+    # The JSON audit hashes a record of the writers' shape through the
+    # field formatter and only a foreign one through the record form.
+    from repro.netlog import parser
+
+    hashed = []
+
+    def counting(record):
+        hashed.append(record)
+        return canonical_record_bytes(record)
+
+    monkeypatch.setattr(parser, "canonical_record_bytes", counting)
+    path = tmp_path / "doc.json"
+    path.write_text(dumps(_events(4), checksums=True))
+    assert verify_document(path) == ParseStats(parsed=4, verified=4)
+    assert hashed == []
+    record, raw = _foreign_document("extra key")
+    path.write_bytes(raw)
+    assert verify_document(path) == ParseStats(parsed=3, verified=3)
+    assert hashed == [record]
+
+
+# ---------------------------------------------------------------------------
+# The field formatter
+# ---------------------------------------------------------------------------
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+#: ``time``, ``type``, ``phase``, source ``id``/``type``: mostly what the
+#: writers emit, sometimes anything.
+_codes = st.one_of(st.integers(min_value=-5, max_value=2**40), _json_values)
+_times = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(), _json_values)
+
+
+@st.composite
+def _records(draw):
+    record = {}
+    for key, values in (("time", _times), ("type", _codes), ("phase", _codes)):
+        if draw(st.integers(0, 9)):  # usually present
+            record[key] = draw(values)
+    if draw(st.integers(0, 9)):
+        if draw(st.integers(0, 4)):
+            source = {}
+            for key in ("id", "type"):
+                if draw(st.integers(0, 9)):
+                    source[key] = draw(_codes)
+            if not draw(st.integers(0, 9)):
+                source[draw(st.text(max_size=3))] = draw(_json_values)
+            record["source"] = source
+        else:
+            record["source"] = draw(_json_values)
+    if draw(st.booleans()):
+        record["params"] = draw(_json_values)
+    for key in ("crc", "chain"):
+        if draw(st.integers(0, 3)):
+            record[key] = draw(st.one_of(st.integers(0, 2**32 - 1), _json_values))
+    if not draw(st.integers(0, 9)):
+        record[draw(st.text(max_size=6))] = draw(_json_values)
+    return record
+
+
+@settings(max_examples=600, deadline=None)
+@given(_records())
+def test_field_formatter_matches_record_reference(record):
+    formatted = writer_shape_bytes(record)
+    if formatted is not None:
+        assert formatted == canonical_record_bytes(record)
+
+
+def test_field_formatter_takes_the_writers_records(checksummed):
+    # The property above is not vacuous: every record our writers emit
+    # is formatted from its fields.
+    for record in json.loads(checksummed)["events"]:
+        assert writer_shape_bytes(record) == canonical_record_bytes(record)
+    record = {"time": 7, "type": 1, "source": {"id": 2, "type": 1}, "phase": 0}
+    for params in (None, {}, [], 0, "", False, {"b": [1.5, None], "a": "é"}):
+        with_params = {**record, "params": params, "chain": None}
+        assert writer_shape_bytes(with_params) == canonical_record_bytes(with_params)
+
+
+# ---------------------------------------------------------------------------
+# Observability
+# ---------------------------------------------------------------------------
+
+
+def _parse_metrics(registry):
+    seconds = registry.get("repro_netlog_parse_seconds")
+    records = registry.get("repro_netlog_records_total")
+    return (
+        {labels: value.count for labels, value in seconds.values().items()},
+        records.values(),
+    )
+
+
+@pytest.fixture()
+def obs_on():
+    obs.disable()
+    yield
+    obs.disable()
+
+
+@pytest.mark.parametrize(
+    "name", ["binary", "json", "json cut", "json spliced", "not a netlog"]
+)
+def test_audit_records_the_parse_metrics(name, obs_on, checksummed, tmp_path):
+    raw = {
+        "binary": dumps_binary(_events(4), checksums=True),
+        "json": checksummed.encode("utf-8"),
+        "json cut": checksummed[: len(checksummed) // 2].encode("utf-8"),
+        "json spliced": next(_splices(checksummed))[1].encode("utf-8"),
+        "not a netlog": b'{"events": 5}',
+    }[name]
+    from repro.obs.metrics import MetricsRegistry
+
+    obs.enable(MetricsRegistry())
+    _loads_reference(raw)
+    want = _parse_metrics(obs.registry())
+    obs.enable(MetricsRegistry())
+    path = tmp_path / "doc"
+    path.write_bytes(raw)
+    verify_document(path)
+    got = _parse_metrics(obs.registry())
+    assert got == want
+    # One parse-seconds sample, under the parse's mode and format.
+    assert sum(want[0].values()) == 1

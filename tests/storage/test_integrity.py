@@ -162,21 +162,22 @@ class TestFsckDetection:
     def test_detects_archive_damage_and_missing(self, damaged_run, population):
         store, archive, _ = damaged_run
         docs = list(archive.entries(population.name))
-        # Bit-rot one document in place, remove another entirely.
-        text = docs[0].read_text()
-        position = len(text) // 2
-        for index in range(position, len(text)):
-            if text[index].isdigit():
-                flipped = str((int(text[index]) + 1) % 10)
-                docs[0].write_text(text[:index] + flipped + text[index + 1 :])
-                break
-        docs[1].unlink()
+        # Bit-rot one document in place, remove another entirely.  The
+        # flip hits the middle byte of the largest document, which lies
+        # in its event records in either format (a binary document's
+        # header frame is over half of a small one).
+        rotten = max(docs, key=lambda path: path.stat().st_size)
+        missing = docs[0] if docs[0] != rotten else docs[1]
+        data = bytearray(rotten.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        rotten.write_bytes(bytes(data))
+        missing.unlink()
         report = fsck(store, archive)
         assert [f.domain for f in report.findings_of(FsckKind.ARCHIVE_DAMAGE)] == [
-            docs[0].stem
+            rotten.stem
         ]
         assert [f.domain for f in report.findings_of(FsckKind.MISSING_ARCHIVE)] == [
-            docs[1].stem
+            missing.stem
         ]
 
     @pytest.mark.parametrize(
@@ -261,7 +262,7 @@ class TestTieredRepair:
         )
         store.commit()
         path = archive.path_for(population.name, os_name, domain)
-        path.write_text(path.read_text()[: path.stat().st_size // 2])
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         revisit = population_revisiter(population, store, archive)
         report = fsck(store, archive, repair=True, revisit=revisit)
         assert report.ok
