@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import obs
-from ..browser.errors import NetError, table1_bucket
 from ..core.classifier import BehaviorClassifier
 from ..core.detector import LocalTrafficDetector
 from ..core.report import SiteFinding
@@ -408,48 +407,23 @@ class Campaign:
         stats: CrawlStats,
         findings: dict[str, SiteFinding],
     ) -> set[str]:
-        """Rebuild stats and findings for already-recorded visits."""
+        """Replay already-recorded visits through the live accounting.
+
+        Each stored row becomes its :class:`CrawlRecord` again and is
+        counted and folded exactly as a crawled one; it is not observed
+        or reported (``on_visit``) a second time.  Returns the restored
+        domains.
+        """
         assert self.store is not None
         rows = self.store.visits(crawl, os_name=os_name)
         if not rows:
             return set()
         detections = self.store.detections_for(crawl, os_name)
-        done: set[str] = set()
         for row in rows:
-            done.add(row.domain)
-            stats.total_attempts += row.attempts
-            if row.attempts > 1:
-                stats.retried += 1
-            if row.skipped:
-                stats.skipped += 1
-                continue
-            if row.success:
-                stats.successes += 1
-                if row.attempts > 1:
-                    stats.recovered += 1
-            else:
-                stats.failures += 1
-                try:
-                    bucket = table1_bucket(NetError(row.error))
-                except ValueError:
-                    bucket = "Others"
-                assert stats.errors is not None
-                stats.errors[bucket] = stats.errors.get(bucket, 0) + 1
-                continue
-            detection = detections.get(row.domain)
-            if detection is None or not detection.has_local_activity:
-                continue
-            finding = findings.get(row.domain)
-            if finding is None:
-                finding = SiteFinding(
-                    domain=row.domain,
-                    rank=row.rank,
-                    population=crawl,
-                    category=row.category,
-                )
-                findings[row.domain] = finding
-            finding.per_os[os_name] = detection
-        return done
+            record = CrawlRecord.from_row(row, detections.get(row.domain))
+            stats.record(record)
+            self._fold(record, os_name, findings, crawl)
+        return {row.domain for row in rows}
 
     # -- per-record plumbing ----------------------------------------------
 

@@ -27,6 +27,7 @@ from ..netlog.pipeline import EventSink, ListSink, Tee
 from ..netlog.binary import BinaryNetLogBuffer
 from ..netlog.codec import make_capture_buffer
 from ..netlog.writer import NetLogBuffer
+from ..storage.records import VisitRow
 from ..web.website import Website
 from .connectivity import ConnectivityChecker
 from .retry import NO_RETRY, RetryPolicy, VirtualClock
@@ -137,11 +138,40 @@ class CrawlRecord:
             attempts=int(meta.get("attempts", 1)),
         )
 
+    @classmethod
+    def from_row(
+        cls, row: VisitRow, detection: DetectionResult | None
+    ) -> "CrawlRecord":
+        """The record a stored ``visits`` row describes (the inverse of
+        :meth:`record_into`).
+
+        The stored error code comes back as its :class:`NetError` member,
+        or as the int itself when no member has it.  ``detection`` is the
+        row's stored detection (None when it has no local requests).
+        Simulated backoff is not stored, so it reads 0.
+        """
+        try:
+            error = NetError(row.error)
+        except ValueError:
+            error = row.error
+        return cls(
+            domain=row.domain,
+            os_name=row.os_name,
+            success=row.success,
+            error=error,
+            rank=row.rank,
+            category=row.category,
+            detection=detection,
+            connectivity_skipped=row.skipped,
+            attempts=row.attempts,
+        )
+
     def record_into(
         self, store, crawl: str, os_name: str, webrtc_policy: str | None
-    ) -> None:
-        """Write this visit's telemetry row (detections only when active)."""
-        store.record_visit(
+    ) -> int:
+        """Write this visit's telemetry row (detections only when active);
+        returns its visit id."""
+        return store.record_visit(
             crawl,
             self.domain,
             os_name,

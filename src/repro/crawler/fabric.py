@@ -46,6 +46,7 @@ from ..netlog.codec import codec_for_suffix
 from ..storage.db import TelemetryStore
 from ..faults.plan import FaultPlan
 from .campaign import Campaign, CampaignResult
+from .crawl import CrawlRecord
 from .executor import CampaignInterrupted
 from . import shard as shard_proto
 from .shard import PopulationSpec, ShardConfig, run_shard
@@ -628,66 +629,45 @@ class CrawlFabric:
     def _merge_store(
         self, source: TelemetryStore, rollup: TelemetryStore, crawl: str
     ) -> None:
-        source_digests = {
-            (row[0], row[1]): row[2]
-            for row in source.connection.execute(
-                "SELECT domain, os_name, COALESCE(digest, '') "
-                "FROM visits WHERE crawl = ?",
-                (crawl,),
-            )
-        }
-        if not source_digests:
+        rows = source.visits(crawl)
+        if not rows:
             return
-        rollup_digests = {
-            (row[0], row[1]): row[2]
-            for row in rollup.connection.execute(
-                "SELECT domain, os_name, COALESCE(digest, '') "
-                "FROM visits WHERE crawl = ?",
-                (crawl,),
-            )
+        held = {
+            (row.domain, row.os_name): row.digest for row in rollup.visits(crawl)
         }
         detections = {
             os_name: source.detections_for(crawl, os_name)
-            for os_name in {key[1] for key in source_digests}
+            for os_name in {row.os_name for row in rows}
         }
-        for row in source.visits(crawl):
+        for row in rows:
             key = (row.domain, row.os_name)
-            expected = source_digests[key]
-            held = rollup_digests.get(key)
-            if held is not None:
-                if held != expected:
+            if key in held:
+                if held[key] != row.digest:
                     raise MergeDivergenceError(
                         f"visit {crawl}:{row.domain}:{row.os_name} differs "
                         f"between shard store and rollup "
-                        f"({expected[:12]}… vs {held[:12]}…)"
+                        f"({row.digest!s:.12}… vs {held[key]!s:.12}…)"
                     )
                 self.report.duplicate_rows += 1
                 continue
-            detection = detections[row.os_name].get(row.domain)
-            visit_id = rollup.record_visit(
-                crawl,
-                row.domain,
-                row.os_name,
-                success=row.success,
-                error=row.error,
-                rank=row.rank,
-                category=row.category,
-                skipped=row.skipped,
-                attempts=row.attempts,
-                detection=detection,
+            record = CrawlRecord.from_row(
+                row, detections[row.os_name].get(row.domain)
+            )
+            visit_id = record.record_into(
+                rollup, crawl, row.os_name, row.webrtc_policy
             )
             written = rollup.connection.execute(
                 "SELECT digest FROM visits WHERE visit_id = ?", (visit_id,)
             ).fetchone()[0]
-            if written != expected:
+            if written != row.digest:
                 # The rollup recomputed the digest from the merged facts;
                 # disagreement means the shard row was damaged in flight.
                 raise MergeDivergenceError(
                     f"visit {crawl}:{row.domain}:{row.os_name} failed "
                     f"digest re-verification on merge "
-                    f"({expected[:12]}… vs {written[:12]}…)"
+                    f"({row.digest!s:.12}… vs {written!s:.12}…)"
                 )
-            rollup_digests[key] = expected
+            held[key] = row.digest
             self.report.rows_merged += 1
         for letter in source.dead_letters(crawl):
             rollup.record_dead_letter(

@@ -179,23 +179,23 @@ class FaultInjector:
         damage.  Unscheduled keys pass through untouched; a key scheduled
         for several kinds suffers them all, truncation first.
         """
-        if isinstance(document, (bytes, bytearray)):
-            return self._corrupt_netlog_bytes(bytes(document), key)
-        return self._corrupt_netlog_text(document, key)
-
-    def _corrupt_netlog_text(self, text: str, key: str) -> str:
+        binary = isinstance(document, (bytes, bytearray))
+        if binary:
+            document = bytes(document)
+        nul = b"\x00" if binary else "\x00"
         for spec in self.plan.specs(FaultKind.NETLOG_TRUNCATION):
             if not self.plan.selects(spec, key):
                 continue
             self._record(FaultKind.NETLOG_TRUNCATION)
             digest = _stable_hash(f"{self.plan.seed}:cut:{key}")
             # Cut somewhere in the back half, but never keep the final
-            # two characters (the `]}` Chrome fails to write).
+            # two characters (the `]}` Chrome fails to write; in a binary
+            # document at minimum the trailer frame is lost).
             fraction = 0.5 + (digest % 4500) / 10_000.0
-            cut = min(int(len(text) * fraction), max(len(text) - 2, 0))
-            text = text[:cut]
+            cut = min(int(len(document) * fraction), max(len(document) - 2, 0))
+            document = document[:cut]
             if spec.duration > 0:
-                text += "\x00" * spec.duration
+                document += nul * spec.duration
             break
         for spec in self.plan.specs(FaultKind.TORN_WRITE):
             if not self.plan.selects(spec, key):
@@ -206,108 +206,28 @@ class FaultInjector:
             # The hole lands in the 30–70% region: interior damage with
             # an intact head and tail, unlike a truncation.
             fraction = 0.3 + (digest % 4000) / 10_000.0
-            start = min(int(len(text) * fraction), max(len(text) - 1, 0))
-            end = min(start + width, len(text))
-            text = text[:start] + "\x00" * (end - start) + text[end:]
+            start = min(int(len(document) * fraction), max(len(document) - 1, 0))
+            end = min(start + width, len(document))
+            document = document[:start] + nul * (end - start) + document[end:]
             break
         for spec in self.plan.specs(FaultKind.BIT_FLIP):
             if not self.plan.selects(spec, key):
                 continue
             digest = _stable_hash(f"{self.plan.seed}:flip:{key}")
             fraction = 0.45 + (digest % 4000) / 10_000.0
-            # Rot lands inside the events array (the measurement payload);
-            # the static constants header is re-derivable vocabulary, so
-            # damage there is not an integrity event.
-            marker = text.find('"events": [')
-            base = marker + len('"events": [') if marker >= 0 else 0
-            position = base + int((len(text) - base) * fraction)
-            # Flip the first digit at or after the chosen position —
-            # digit-for-digit substitution keeps the JSON well-formed.
-            for index in range(position, len(text)):
-                ch = text[index]
-                if ch.isdigit():
-                    flipped = str((int(ch) + 1) % 10)
-                    text = text[:index] + flipped + text[index + 1 :]
-                    self._record(FaultKind.BIT_FLIP)
-                    break
-            break
-        return text
-
-    def _corrupt_netlog_bytes(self, data: bytes, key: str) -> bytes:
-        """The binary-document analog of :meth:`_corrupt_netlog_text`."""
-        for spec in self.plan.specs(FaultKind.NETLOG_TRUNCATION):
-            if not self.plan.selects(spec, key):
-                continue
-            self._record(FaultKind.NETLOG_TRUNCATION)
-            digest = _stable_hash(f"{self.plan.seed}:cut:{key}")
-            # Same back-half cut window as the JSON shape; at minimum
-            # the trailer frame is lost (the binary signature of a
-            # killed writer).
-            fraction = 0.5 + (digest % 4500) / 10_000.0
-            cut = min(int(len(data) * fraction), max(len(data) - 2, 0))
-            data = data[:cut]
-            if spec.duration > 0:
-                data += b"\x00" * spec.duration
-            break
-        for spec in self.plan.specs(FaultKind.TORN_WRITE):
-            if not self.plan.selects(spec, key):
-                continue
-            self._record(FaultKind.TORN_WRITE)
-            digest = _stable_hash(f"{self.plan.seed}:tear:{key}")
-            width = spec.duration if spec.duration > 0 else 64
-            fraction = 0.3 + (digest % 4000) / 10_000.0
-            start = min(int(len(data) * fraction), max(len(data) - 1, 0))
-            end = min(start + width, len(data))
-            data = data[:start] + b"\x00" * (end - start) + data[end:]
-            break
-        for spec in self.plan.specs(FaultKind.BIT_FLIP):
-            if not self.plan.selects(spec, key):
-                continue
-            digest = _stable_hash(f"{self.plan.seed}:flip:{key}")
-            fraction = 0.45 + (digest % 4000) / 10_000.0
-            position = self._binary_flip_position(data, fraction, digest)
-            if position is not None:
-                flipped = data[position] ^ 0x01
-                data = data[:position] + bytes((flipped,)) + data[position + 1 :]
+            damage = (
+                _frame_bit_flip(document, fraction, digest)
+                if binary
+                else _events_digit_flip(document, fraction)
+            )
+            if damage is not None:
+                position, replacement = damage
+                document = (
+                    document[:position] + replacement + document[position + 1 :]
+                )
                 self._record(FaultKind.BIT_FLIP)
             break
-        return data
-
-    @staticmethod
-    def _binary_flip_position(
-        data: bytes, fraction: float, digest: int
-    ) -> int | None:
-        """A byte offset inside an event frame's payload, or None.
-
-        Walks the binary document's framing so the flip lands *inside* a
-        record — in-place corruption the frame CRC catches — rather than
-        on a frame header, which would read as framing loss (a different
-        damage class).  Mirrors the JSON shape, where the substituted
-        digit lands inside the events array.
-        """
-        from ..netlog.binary import (
-            MAGIC,
-            TAG_EVENT,
-            _FRAME_HEAD,
-        )
-
-        if not data.startswith(MAGIC):
-            return None
-        payloads: list[tuple[int, int]] = []
-        offset = len(MAGIC)
-        while offset + _FRAME_HEAD.size <= len(data):
-            tag, length, _ = _FRAME_HEAD.unpack_from(data, offset)
-            start = offset + _FRAME_HEAD.size
-            end = start + length
-            if end > len(data):
-                break
-            if tag == TAG_EVENT and length > 0:
-                payloads.append((start, length))
-            offset = end
-        if not payloads:
-            return None
-        start, length = payloads[int((len(payloads) - 1) * fraction)]
-        return start + digest % length
+        return document
 
     # -- storage.db seam ---------------------------------------------------
 
@@ -441,3 +361,56 @@ class FaultInjector:
                 raise InjectedCrashError(
                     f"injected crash at visit {visits}"
                 )
+
+
+def _events_digit_flip(text: str, fraction: float) -> tuple[int, str] | None:
+    """``(position, digit)``: the first digit at or after ``fraction`` of
+    the events array, bumped by one, or None when none follows.
+
+    Rot lands inside the events array (the measurement payload); the
+    static constants header is re-derivable vocabulary, so damage there
+    is not an integrity event.  Digit-for-digit substitution keeps the
+    JSON well-formed.
+    """
+    marker = text.find('"events": [')
+    base = marker + len('"events": [') if marker >= 0 else 0
+    position = base + int((len(text) - base) * fraction)
+    for index in range(position, len(text)):
+        ch = text[index]
+        if ch.isdigit():
+            return index, str((int(ch) + 1) % 10)
+    return None
+
+
+def _frame_bit_flip(
+    data: bytes, fraction: float, digest: int
+) -> tuple[int, bytes] | None:
+    """``(position, byte)``: one byte inside an event frame's payload with
+    its low bit flipped, or None when the document has no event frame.
+
+    Walks the binary document's framing so the flip lands *inside* a
+    record — in-place corruption the frame CRC catches — rather than on a
+    frame header, which would read as framing loss (a different damage
+    class).  Mirrors the JSON shape, where the substituted digit lands
+    inside the events array.
+    """
+    from ..netlog.binary import MAGIC, TAG_EVENT, _FRAME_HEAD
+
+    if not data.startswith(MAGIC):
+        return None
+    payloads: list[tuple[int, int]] = []
+    offset = len(MAGIC)
+    while offset + _FRAME_HEAD.size <= len(data):
+        tag, length, _ = _FRAME_HEAD.unpack_from(data, offset)
+        start = offset + _FRAME_HEAD.size
+        end = start + length
+        if end > len(data):
+            break
+        if tag == TAG_EVENT and length > 0:
+            payloads.append((start, length))
+        offset = end
+    if not payloads:
+        return None
+    start, length = payloads[int((len(payloads) - 1) * fraction)]
+    position = start + digest % length
+    return position, bytes((data[position] ^ 0x01,))

@@ -204,7 +204,7 @@ def _classify_record(
     try:
         raw_source = record["source"]
         time = float(record["time"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if strict:
             raise NetLogParseError(f"malformed event record: {record!r}") from exc
         if stats is not None:
@@ -233,7 +233,7 @@ def _classify_record(
     try:
         source_id = int(raw_source["id"])
         source_type = SourceType(int(raw_source.get("type", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if strict:
             raise NetLogParseError(f"malformed source: {raw_source!r}") from exc
         if stats is not None:
@@ -242,7 +242,8 @@ def _classify_record(
 
     try:
         phase = EventPhase(int(record.get("phase", 0)))
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
+        # Unreadable (null, a list, an infinity) or unknown: no phase.
         phase = EventPhase.NONE
 
     params = event_params(record.get("params"))

@@ -266,126 +266,101 @@ class TelemetryStore:
             self.write_fault_hook(f"{crawl}:{domain}:{os_name}")
         _VISIT_WRITES.inc()
         with self._lock:
-            return self._record_visit_locked(
-                crawl,
-                domain,
-                os_name,
+            if detection is not None:
+                page_load_time = detection.page_load_time
+                total_flows = detection.total_flows
+                request_facts = detection_request_facts(detection)
+            else:
+                page_load_time = total_flows = None
+                request_facts = []
+            # Content digest computed at commit time; `repro fsck`
+            # recomputes it from the stored rows to detect at-rest
+            # corruption.
+            digest = visit_digest(
+                crawl=crawl,
+                domain=domain,
+                os_name=os_name,
                 success=success,
                 error=error,
                 rank=rank,
                 category=category,
                 skipped=skipped,
-                attempts=attempts,
-                detection=detection,
-                events=events,
-                webrtc_policy=webrtc_policy,
+                page_load_time=page_load_time,
+                total_flows=total_flows,
+                requests=request_facts,
             )
-
-    def _record_visit_locked(
-        self,
-        crawl: str,
-        domain: str,
-        os_name: str,
-        *,
-        success: bool,
-        error: int = 0,
-        rank: int | None = None,
-        category: str | None = None,
-        skipped: bool = False,
-        attempts: int = 1,
-        detection: DetectionResult | None = None,
-        events: Iterable[NetLogEvent] | None = None,
-        webrtc_policy: str | None = None,
-    ) -> int:
-        page_load_time = detection.page_load_time if detection is not None else None
-        total_flows = detection.total_flows if detection is not None else None
-        request_facts = (
-            detection_request_facts(detection) if detection is not None else []
-        )
-        # Content digest computed at commit time; `repro fsck` recomputes
-        # it from the stored rows to detect at-rest corruption.
-        digest = visit_digest(
-            crawl=crawl,
-            domain=domain,
-            os_name=os_name,
-            success=success,
-            error=error,
-            rank=rank,
-            category=category,
-            skipped=skipped,
-            page_load_time=page_load_time,
-            total_flows=total_flows,
-            requests=request_facts,
-        )
-        # The INSERT below is the statement that acquires the write lock,
-        # so it is the one that can see cross-process contention; once it
-        # succeeds the transaction holds the lock and the child-row
-        # statements cannot be interleaved with another writer.
-        cursor = self._execute(
-            "INSERT OR REPLACE INTO visits "
-            "(crawl, domain, os_name, success, error, rank, category, "
-            " skipped, attempts, page_load_time, total_flows, "
-            " digest, request_count, webrtc_policy) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                crawl,
-                domain,
-                os_name,
-                int(success),
-                error,
-                rank,
-                category,
-                int(skipped),
-                attempts,
-                page_load_time,
-                total_flows,
-                digest,
-                len(request_facts),
-                webrtc_policy,
-            ),
-        )
-        visit_id = int(cursor.lastrowid or 0)
-        if events is not None:
-            self._conn.executemany(
-                "INSERT INTO events VALUES (?, ?, ?, ?, ?, ?, ?)",
+            # The INSERT below is the statement that acquires the write
+            # lock, so it is the one that can see cross-process contention;
+            # once it succeeds the transaction holds the lock and the
+            # child-row statements cannot be interleaved with another
+            # writer.
+            cursor = self._execute(
+                "INSERT OR REPLACE INTO visits "
+                "(crawl, domain, os_name, success, error, rank, category, "
+                " skipped, attempts, page_load_time, total_flows, "
+                " digest, request_count, webrtc_policy) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    (
-                        visit_id,
-                        event.time,
-                        int(event.type),
-                        event.source.id,
-                        int(event.source.type),
-                        int(event.phase),
-                        json.dumps(event.params) if event.params else "{}",
-                    )
-                    for event in events
+                    crawl,
+                    domain,
+                    os_name,
+                    int(success),
+                    error,
+                    rank,
+                    category,
+                    int(skipped),
+                    attempts,
+                    page_load_time,
+                    total_flows,
+                    digest,
+                    len(request_facts),
+                    webrtc_policy,
                 ),
             )
-        if detection is not None:
-            self._conn.executemany(
-                "INSERT INTO local_requests "
-                "(visit_id, locality, scheme, host, port, path, time, "
-                " via_redirect, source_id, method, initiator) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
+            visit_id = int(cursor.lastrowid or 0)
+            if events is not None:
+                self._conn.executemany(
+                    "INSERT INTO events VALUES (?, ?, ?, ?, ?, ?, ?)",
                     (
-                        visit_id,
-                        request.locality.value,
-                        request.scheme,
-                        request.host,
-                        request.port,
-                        request.path,
-                        request.time,
-                        int(request.via_redirect),
-                        request.source_id,
-                        request.method,
-                        request.initiator,
-                    )
-                    for request in detection.requests
-                ),
-            )
-        self._wrote()
-        return visit_id
+                        (
+                            visit_id,
+                            event.time,
+                            int(event.type),
+                            event.source.id,
+                            int(event.source.type),
+                            int(event.phase),
+                            json.dumps(event.params)
+                            if event.params
+                            else "{}",
+                        )
+                        for event in events
+                    ),
+                )
+            if detection is not None:
+                self._conn.executemany(
+                    "INSERT INTO local_requests "
+                    "(visit_id, locality, scheme, host, port, path, time, "
+                    " via_redirect, source_id, method, initiator) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    (
+                        (
+                            visit_id,
+                            request.locality.value,
+                            request.scheme,
+                            request.host,
+                            request.port,
+                            request.path,
+                            request.time,
+                            int(request.via_redirect),
+                            request.source_id,
+                            request.method,
+                            request.initiator,
+                        )
+                        for request in detection.requests
+                    ),
+                )
+            self._wrote()
+            return visit_id
 
     def delete_visit(self, crawl: str, domain: str, os_name: str) -> int:
         """Remove one visit and its child rows; returns rows removed.
@@ -629,7 +604,8 @@ class TelemetryStore:
     def visits(self, crawl: str, *, os_name: str | None = None) -> list[VisitRow]:
         sql = (
             "SELECT visit_id, crawl, domain, os_name, success, error, rank, "
-            "category, skipped, attempts FROM visits WHERE crawl = ?"
+            "category, skipped, attempts, webrtc_policy, digest "
+            "FROM visits WHERE crawl = ?"
         )
         args: list[object] = [crawl]
         if os_name is not None:
@@ -639,7 +615,8 @@ class TelemetryStore:
             VisitRow(
                 visit_id=row[0], crawl=row[1], domain=row[2], os_name=row[3],
                 success=bool(row[4]), error=row[5], rank=row[6], category=row[7],
-                skipped=bool(row[8]), attempts=row[9],
+                skipped=bool(row[8]), attempts=row[9], webrtc_policy=row[10],
+                digest=row[11],
             )
             for row in self._execute(sql + " ORDER BY visit_id", args)
         ]

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class VisitRow:
-    """One page visit (site × OS × crawl)."""
+    """One page visit (site × OS × crawl), as its ``visits`` row holds it.
+
+    :meth:`repro.crawler.crawl.CrawlRecord.from_row` turns it back into
+    the record that wrote it.
+    """
 
     visit_id: int
     crawl: str
@@ -27,6 +31,12 @@ class VisitRow:
     skipped: bool = False
     #: Visit attempts the outcome took (1 = first try).
     attempts: int = 1
+    #: WebRTC policy era the visit's browser ran under (``pre-m74`` /
+    #: ``mdns``); None when the channel was off.
+    webrtc_policy: str | None = None
+    #: Content digest written with the row
+    #: (:func:`~repro.storage.integrity.visit_digest`).
+    digest: str | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,9 +24,27 @@ def _population():
     return build_top_population(2020, scale=SCALE)
 
 
-def _table1(result):
+def _outcomes(result):
+    """Table 1's outcome columns per OS: what a retried fault must not move."""
     return {
         os_name: (stats.successes, stats.failures, dict(stats.errors or {}))
+        for os_name, stats in result.stats.items()
+    }
+
+
+def _table1(result):
+    """Every CrawlStats field the store keeps, per OS: what a replay of
+    stored rows must reproduce from the accounting done live."""
+    return {
+        os_name: (
+            stats.successes,
+            stats.failures,
+            dict(stats.errors or {}),
+            stats.skipped,
+            stats.total_attempts,
+            stats.retried,
+            stats.recovered,
+        )
         for os_name, stats in result.stats.items()
     }
 
@@ -45,14 +63,14 @@ class TestChaosInvariance:
         chaotic = campaign.run(population)
         assert campaign.last_injector is not None
         assert campaign.last_injector.injected_total() > 0
-        assert _table1(chaotic) == _table1(baseline)
+        assert _outcomes(chaotic) == _outcomes(baseline)
         assert _fingerprints(chaotic) == _fingerprints(baseline)
 
     def test_without_retries_faults_do_surface(self):
         population = _population()
         baseline = Campaign().run(population)
         chaotic = Campaign(fault_plan=CHAOS_PLAN).run(population)
-        assert _table1(chaotic) != _table1(baseline)
+        assert _outcomes(chaotic) != _outcomes(baseline)
 
 
 class TestCrashResume:
@@ -90,10 +108,15 @@ class TestCrashResume:
         resumed = Campaign(
             retry_policy=policy, fault_plan=CHAOS_PLAN, store=store
         ).run(population, resume=True)
-        assert _table1(resumed) == _table1(uninterrupted)
+        assert _outcomes(resumed) == _outcomes(uninterrupted)
         assert _fingerprints(resumed) == _fingerprints(uninterrupted)
         # Nothing was crawled twice: one row per (site, OS).
         assert len(store.visits(population.name)) == len(population) * 3
+        # Restored and crawled rows alike replay to the accounting the
+        # resumed run did live.
+        replayed = Campaign(store=store).run(population, resume=True)
+        assert _table1(replayed) == _table1(resumed)
+        assert _fingerprints(replayed) == _fingerprints(resumed)
 
     def test_resume_of_complete_run_recrawls_nothing(self):
         population = _population()
@@ -104,6 +127,21 @@ class TestCrashResume:
         # Everything restored from the store; the injector never fired.
         assert campaign.last_injector is not None
         assert campaign.last_injector.injected_total() == 0
+        assert _table1(resumed) == _table1(first)
+        assert _fingerprints(resumed) == _fingerprints(first)
+
+    def test_resume_replays_retry_accounting(self):
+        # Every attempt, retry and recovery a chaotic run counted live
+        # comes back from its stored rows alone.
+        population = _population()
+        store = TelemetryStore()
+        first = Campaign(
+            store=store,
+            retry_policy=RetryPolicy(max_attempts=4),
+            fault_plan=CHAOS_PLAN,
+        ).run(population)
+        assert all(s.retried and s.recovered for s in first.stats.values())
+        resumed = Campaign(store=store).run(population, resume=True)
         assert _table1(resumed) == _table1(first)
         assert _fingerprints(resumed) == _fingerprints(first)
 
@@ -130,7 +168,7 @@ class TestStorageWriteFaults:
         assert campaign.last_injector.injected[FaultKind.STORAGE_WRITE] > 0
         # Every row still landed despite the injected write failures.
         assert len(store.visits(population.name)) == len(population) * 3
-        assert _table1(result) == _table1(Campaign().run(population))
+        assert _outcomes(result) == _outcomes(Campaign().run(population))
 
     def test_write_fault_beyond_budget_propagates(self):
         population = _population()
@@ -170,3 +208,6 @@ class TestSkippedPersistence:
         # Table 1's success/failure counts exclude skipped rows.
         counts = store.success_counts(population.name)
         assert all(counts.get(os, (0, 0)) == (0, 0) for os in result.stats)
+        # A resume replays the stored skips as skips.
+        resumed = Campaign(store=store).run(population, resume=True)
+        assert _table1(resumed) == _table1(result)

@@ -142,6 +142,30 @@ def test_sharded_run_matches_serial(spec, serial, tmp_path, shards):
     assert not outcome.report.dead_shards
 
 
+def _policy_eras(store) -> dict:
+    return {
+        (domain, os_name): policy
+        for domain, os_name, policy in store.connection.execute(
+            "SELECT domain, os_name, webrtc_policy FROM visits WHERE crawl = ?",
+            (CRAWL,),
+        )
+    }
+
+
+def test_sharded_rollup_keeps_the_policy_era(tmp_path):
+    """The WebRTC policy era is outside the visit digest, so only a
+    direct comparison sees a merge that drops it: every rollup row must
+    carry the era the serial store records."""
+    spec = PopulationSpec(population=CRAWL, scale=0.001, webrtc_policy="mdns")
+    with TelemetryStore(str(tmp_path / "serial.db")) as store:
+        Campaign(store=store).run(spec.build())
+        serial_eras = _policy_eras(store)
+    assert set(serial_eras.values()) == {"mdns"}
+    fabric, _ = run_fabric(spec, tmp_path / "fabric", shards=2)
+    with TelemetryStore(fabric.rollup_path) as rollup:
+        assert _policy_eras(rollup) == serial_eras
+
+
 # -- crash / stall chaos -----------------------------------------------------
 
 

@@ -149,6 +149,9 @@ class TestNonStrictRecordHandling:
             lambda events: events[1].update(source={"id": "x"}),
             lambda events: events[1].update(params="not-a-dict"),
             lambda events: events.__setitem__(1, "not-an-object"),
+            lambda events: events[1].update(time=10**400),
+            lambda events: events[1]["source"].update(id=float("inf")),
+            lambda events: events[1]["source"].update(type=float("-inf")),
         ],
         ids=[
             "bad-time",
@@ -158,6 +161,9 @@ class TestNonStrictRecordHandling:
             "bad-source-id",
             "params-not-object",
             "record-not-object",
+            "time-400-digit-int",
+            "source-id-infinite",
+            "source-type-infinite",
         ],
     )
     def test_malformed_record_skipped_and_counted(self, mutate):
@@ -169,6 +175,25 @@ class TestNonStrictRecordHandling:
         assert stats.parsed == 3
         with pytest.raises(NetLogParseError):
             loads(text, strict=True)
+
+    @pytest.mark.parametrize(
+        "phase",
+        [None, [], [1], {}, float("inf"), float("-inf"), float("nan"), 10**400],
+        ids=["null", "empty-list", "list", "object", "inf", "-inf", "nan", "huge"],
+    )
+    def test_unreadable_phase_is_no_phase(self, phase):
+        # The fallback an unknown phase code already gets, in both modes.
+        text = self._doc_with(lambda events: events[1].update(phase=phase))
+        for strict in (False, True):
+            for parse in (
+                lambda stats: loads(text, strict=strict, stats=stats),
+                lambda stats: _streaming(text, stats, strict=strict),
+            ):
+                stats = ParseStats()
+                phases = [e.phase for e in parse(stats)]
+                assert phases[1] is EventPhase.NONE
+                assert phases[0] is phases[2] is EventPhase.BEGIN
+                assert stats == ParseStats(parsed=4)
 
     def test_unknown_type_counted_separately(self):
         record = {

@@ -6,6 +6,7 @@ crash retries and quarantine, the overload breaker, graceful drain, and
 exactly-once crash recovery through the journal.
 """
 
+import json
 import time
 
 import pytest
@@ -85,6 +86,31 @@ class TestAnalysis:
             again, cached = engine.submit(b'{"not": "a netlog"}')
             assert again == job_id and cached is None
             assert engine.job_status(job_id)["state"] == "failed"
+
+    def test_unreadable_phase_is_analyzed_not_quarantined(self):
+        # A record whose phase is null once escaped the record rules as a
+        # TypeError: each such upload was quarantined as a crashing job,
+        # and two of them opened the breaker for every client.
+        config = _config(workers=1, quarantine_after=2, breaker_threshold=2)
+        with JobEngine(config) as engine:
+            for time_value in (1.0, 2.0):
+                upload = json.dumps(
+                    {
+                        "events": [
+                            {
+                                "time": time_value,
+                                "type": 1,
+                                "source": {"id": 1, "type": 1},
+                                "phase": None,
+                            }
+                        ]
+                    }
+                ).encode()
+                job_id, _ = engine.submit(upload)
+                _wait_done(engine, job_id)
+                assert engine.job_status(job_id)["state"] == "done"
+                assert engine.report_for(job_id) == analyze_report_text(upload)
+            assert not engine.degraded
 
     def test_torn_upload_report_matches_batch(self, local_upload):
         torn = local_upload[: int(len(local_upload) * 0.65)]
