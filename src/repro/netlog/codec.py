@@ -30,6 +30,8 @@ import os
 from dataclasses import dataclass
 from typing import IO, Callable, Union
 
+from .binary import MAGIC
+
 FORMAT_JSON = "json"
 FORMAT_BINARY = "binary"
 
@@ -146,12 +148,8 @@ def sniff_format(head: bytes | bytearray | memoryview | str) -> str:
     """
     if isinstance(head, str):
         return FORMAT_JSON
-    if len(head) == 0:
-        return FORMAT_JSON
-    from .binary import MAGIC
-
     prefix = bytes(head[: len(MAGIC)])
-    if prefix == MAGIC[: len(prefix)] and len(prefix) > 0:
+    if prefix and prefix == MAGIC[: len(prefix)]:
         return FORMAT_BINARY
     return FORMAT_JSON
 

@@ -90,6 +90,13 @@ PHASE_NAMES: dict[int, str] = {p.value: p.name for p in EventPhase}
 EVENT_TYPES_BY_NAME: dict[str, EventType] = {e.name: e for e in EventType}
 SOURCE_TYPES_BY_NAME: dict[str, SourceType] = {s.name: s for s in SourceType}
 
+#: Code→member tables for the decoders: one dict lookup per field instead
+#: of an enum constructor and its try/except per record.  A code that
+#: misses its table is unknown to this vocabulary.
+EVENT_TYPE_OF: dict[int, EventType] = {int(e): e for e in EventType}
+SOURCE_TYPE_OF: dict[int, SourceType] = {int(s): s for s in SourceType}
+PHASE_OF: dict[int, EventPhase] = {int(p): p for p in EventPhase}
+
 
 #: Schemes a URL request may carry, as they appear in NetLog params.
 SUPPORTED_SCHEMES = ("http", "https", "ws", "wss")

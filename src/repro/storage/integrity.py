@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .. import obs
-from ..netlog.writer import encode_canonical, encode_compact
+from ..netlog.writer import encode_compact
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (db -> migrations -> here)
     from ..netlog.archive import NetLogArchive
@@ -93,48 +93,54 @@ def visit_digest(
     a re-parse or re-visit that stores the same facts in a different
     order still matches.  The serialisations are the ones ``json.dumps``
     gives with compact separators (sorted keys for the visit document),
-    made by the NetLog writer's reusable C encoders.
+    made by the NetLog writer's reusable C encoders: the visit document
+    is built in sorted key order, so it needs no key sort, and a visit
+    without local requests (most visits) sorts nothing.
     """
-    request_docs = sorted(
-        encode_compact(
-            [
+    request_docs = (
+        sorted(
+            encode_compact(
+                [
+                    locality,
+                    scheme,
+                    host,
+                    port,
+                    path,
+                    time,
+                    int(bool(via_redirect)),
+                    method,
+                    initiator,
+                ]
+            )
+            for (
                 locality,
                 scheme,
                 host,
                 port,
                 path,
                 time,
-                int(bool(via_redirect)),
+                via_redirect,
                 method,
                 initiator,
-            ]
+            ) in requests
         )
-        for (
-            locality,
-            scheme,
-            host,
-            port,
-            path,
-            time,
-            via_redirect,
-            method,
-            initiator,
-        ) in requests
+        if requests
+        else []
     )
-    payload = encode_canonical(
+    payload = encode_compact(
         {
             "algorithm": DIGEST_ALGORITHM,
+            "category": category,
             "crawl": crawl,
             "domain": domain,
-            "os": os_name,
-            "success": int(bool(success)),
             "error": int(error),
-            "rank": rank,
-            "category": category,
-            "skipped": int(bool(skipped)),
+            "os": os_name,
             "page_load_time": page_load_time,
-            "total_flows": total_flows,
+            "rank": rank,
             "requests": request_docs,
+            "skipped": int(bool(skipped)),
+            "success": int(bool(success)),
+            "total_flows": total_flows,
         }
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -8,24 +8,31 @@ loop's ``full`` regime with event construction off, and a JSON document
 runs a stats-only walk of its decoded ``events`` list with the parsers'
 ``ChainVerifier`` and record rules.  That walk formats the canonical
 bytes of a record of the writers' shape from its fields
-(``writer.writer_shape_bytes``); any other record takes
-``canonical_record_bytes``, as in a parse.  Two references hold it:
+(``writer.canonical_fields_bytes``); any other record takes
+``canonical_record_bytes``, as in a parse.  Both audits take the common
+record (checksummed, of the writers' shape, chain in sync, crc and
+chain matching) in one step (``ChainVerifier.advance``); every other
+record leaves that step for ``ChainVerifier.verify_canonical`` and the
+record rules.  Two references hold it:
 
 * ``loads(raw, strict=False, verify="full")`` itself, with
   ``verify_document``'s accounting for a document the parser rejects.
   It runs over every corpus the decoders are pinned on (the byte-level
   corpora and the 43 record-level shapes of ``test_decoder_parity``, in
   both encodings), the cut/hole/flip/splice corpus below, a scale-0.001
-  campaign archive in both formats, and foreign-shaped records that take
-  the ``canonical_record_bytes`` fallback.
+  campaign archive in both formats, foreign-shaped records that take
+  the ``canonical_record_bytes`` fallback, and records that enter the
+  one-step path and must leave it (each also shown to leave it).
 * The streaming walker over the same bytes, which fsck verified JSON
   documents with before it used the whole-document parser, over the
   cut/hole/flip/splice corpus.
 
-A property test holds the field formatter to ``canonical_record_bytes``
-on every record it accepts, and an obs test holds the audit to the parse
-metrics ``loads`` records.  Documents that are not NetLog objects at all
-are pinned separately (``tests/storage/test_integrity.py``).
+A property test holds the audit to ``loads`` on arbitrary records under
+the crc and chain a writer would give them, so a record formatted from
+its fields to other bytes than ``canonical_record_bytes`` fails its
+checksum there, and an obs test holds the audit to the parse metrics
+``loads`` records.  Documents that are not NetLog objects at all are
+pinned separately (``tests/storage/test_integrity.py``).
 """
 
 import io
@@ -40,6 +47,7 @@ from repro import obs
 from repro.netlog import (
     CHAIN_SEED,
     CHECKSUM_ALGORITHM,
+    ChainVerifier,
     EventType,
     NetLogArchive,
     ParseStats,
@@ -49,10 +57,11 @@ from repro.netlog import (
     loads,
     to_binary,
 )
+from repro.netlog.binary import _FRAME_HEAD
 from repro.netlog.parallel import verify_document
-from repro.netlog.writer import canonical_record_bytes, writer_shape_bytes
+from repro.netlog.writer import canonical_record_bytes
 
-from .test_binary import _events
+from .test_binary import _event_frame_offsets, _events, _with_params
 from .test_decoder_parity import (
     RECORD_VARIANTS,
     _binary_variants,
@@ -103,6 +112,42 @@ def _audit_mismatches(path, corpus):
         if got != want:
             mismatches.append(f"{label}: {got} != {want}")
     return mismatches
+
+
+def _hashed_as_records(monkeypatch, path, raw):
+    """The records the JSON audit of ``raw`` hashed through
+    ``canonical_record_bytes`` instead of formatting them from fields."""
+    from repro.netlog import parser
+
+    hashed = []
+
+    def counting(record):
+        hashed.append(record)
+        return canonical_record_bytes(record)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "canonical_record_bytes", counting)
+        path.write_bytes(raw)
+        verify_document(path)
+    return hashed
+
+
+def _left_the_one_step(monkeypatch, path, raw):
+    """Positions (``ChainVerifier.index``) of the records the audit of
+    ``raw`` handed to ``ChainVerifier.verify_canonical``: every record it
+    did not take in one step."""
+    original = ChainVerifier.verify_canonical
+    positions = []
+
+    def recording(self, *args, **kwargs):
+        positions.append(self.index)
+        return original(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ChainVerifier, "verify_canonical", recording)
+        path.write_bytes(raw)
+        verify_document(path)
+    return positions
 
 
 def _cuts(doc):
@@ -275,12 +320,22 @@ _ODD_WRITER_SHAPES = {
 
 
 def _foreign_document(name, *, tamper=False, strip=None):
+    return _changed_document(
+        {**_FOREIGN_RECORDS, **_ODD_WRITER_SHAPES}[name], tamper=tamper, strip=strip
+    )
+
+
+def _changed_document(changes, *, tamper=False, strip=None):
+    """Record 1 of a 3-record checksummed document with ``changes``, and
+    the document, every record under the crc and chain a writer would
+    give its record form; ``strip`` then drops one integrity field of
+    record 1 and ``tamper`` flips its crc."""
     base = json.loads(dumps(_events(3), checksums=True))
     records = [
         {k: v for k, v in record.items() if k not in ("crc", "chain")}
         for record in base["events"]
     ]
-    for key, value in {**_FOREIGN_RECORDS, **_ODD_WRITER_SHAPES}[name].items():
+    for key, value in changes.items():
         if value is _ABSENT:
             del records[1][key]
         else:
@@ -307,7 +362,7 @@ def _foreign_document(name, *, tamper=False, strip=None):
 
 
 @pytest.mark.parametrize("name", sorted({**_FOREIGN_RECORDS, **_ODD_WRITER_SHAPES}))
-def test_audit_matches_loads_on_foreign_records(name, tmp_path):
+def test_audit_matches_loads_on_foreign_records(name, tmp_path, monkeypatch):
     corpus = []
     for variant, kwargs in (
         ("as checksummed", {}),
@@ -316,8 +371,9 @@ def test_audit_matches_loads_on_foreign_records(name, tmp_path):
         ("chain stripped", {"strip": "chain"}),
     ):
         record, raw = _foreign_document(name, **kwargs)
-        formatted = writer_shape_bytes(record) is not None
-        assert formatted == (name in _ODD_WRITER_SHAPES), variant
+        # Only a foreign record is hashed in its record form.
+        hashed = _hashed_as_records(monkeypatch, tmp_path / "doc", raw)
+        assert hashed == ([record] if name in _FOREIGN_RECORDS else []), variant
         corpus.append((variant, raw))
     mismatches = _audit_mismatches(tmp_path / "doc", corpus)
     assert not mismatches, "\n".join(mismatches)
@@ -364,7 +420,7 @@ def test_audit_formats_writer_records_from_fields(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The field formatter
+# The field formatter and the one-step path
 # ---------------------------------------------------------------------------
 
 _scalars = st.one_of(
@@ -416,22 +472,138 @@ def _records(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(_records())
-def test_field_formatter_matches_record_reference(record):
-    formatted = writer_shape_bytes(record)
-    if formatted is not None:
-        assert formatted == canonical_record_bytes(record)
+@given(record=_records(), honest=st.booleans())
+def test_field_formatter_matches_record_reference(record, honest, tmp_path_factory):
+    # The drawn record sits between two writers' records.  Honest, its
+    # crc and chain keys hold what a writer would compute over its record
+    # form, so a record the audit formats from its fields to other bytes
+    # fails its checksum there and not in ``loads``; otherwise it keeps
+    # the drawn values.
+    writer_records = [
+        {k: v for k, v in item.items() if k not in ("crc", "chain")}
+        for item in json.loads(dumps(_events(2), checksums=True))["events"]
+    ]
+    chain = CHAIN_SEED
+    events = []
+    for item in (writer_records[0], record, writer_records[1]):
+        payload = canonical_record_bytes(item)
+        chain = zlib.crc32(payload, chain)
+        stamped = dict(item)
+        if item is not record:
+            stamped.update(crc=zlib.crc32(payload), chain=chain)
+        elif honest:
+            for key, value in (("crc", zlib.crc32(payload)), ("chain", chain)):
+                if key in stamped:
+                    stamped[key] = value
+        events.append(stamped)
+    trailer = {"algorithm": CHECKSUM_ALGORITHM, "events": 3, "chain": chain}
+    raw = json.dumps({"events": events, "integrity": trailer}).encode("utf-8")
+    path = tmp_path_factory.getbasetemp() / "formatter-property.json"
+    path.write_bytes(raw)
+    assert verify_document(path) == _loads_reference(raw)
 
 
-def test_field_formatter_takes_the_writers_records(checksummed):
+def test_field_formatter_takes_the_writers_records(checksummed, tmp_path, monkeypatch):
     # The property above is not vacuous: every record our writers emit
-    # is formatted from its fields.
-    for record in json.loads(checksummed)["events"]:
-        assert writer_shape_bytes(record) == canonical_record_bytes(record)
-    record = {"time": 7, "type": 1, "source": {"id": 2, "type": 1}, "phase": 0}
+    # is formatted from its fields and taken in one step, in both
+    # encodings.
+    path = tmp_path / "doc"
+    raw = checksummed.encode("utf-8")
+    assert _hashed_as_records(monkeypatch, path, raw) == []
+    assert _left_the_one_step(monkeypatch, path, raw) == []
+    binary = dumps_binary(_events(4), checksums=True)
+    assert _left_the_one_step(monkeypatch, path, binary) == []
+    # Any params value keeps the writers' shape; only an object stays in
+    # the one step.
     for params in (None, {}, [], 0, "", False, {"b": [1.5, None], "a": "é"}):
-        with_params = {**record, "params": params, "chain": None}
-        assert writer_shape_bytes(with_params) == canonical_record_bytes(with_params)
+        _, raw = _changed_document({"params": params})
+        assert _hashed_as_records(monkeypatch, path, raw) == [], params
+        left = _left_the_one_step(monkeypatch, path, raw)
+        assert left == ([] if isinstance(params, dict) else [1]), params
+        assert not _audit_mismatches(path, [(repr(params), raw)])
+
+
+#: Records that enter the one-step path and must leave it for the
+#: general rules: ``(changes to record 1, what is done to the stamped
+#: document, encodings that can express it)``.
+_BOTH = ("json", "binary")
+_ONE_STEP_EXITS = {
+    "unknown type code": ({"type": 9999}, None, _BOTH),
+    "unknown source type code": ({"source": {"id": 2, "type": 250}}, None, _BOTH),
+    "int time beyond float range": ({"time": 10**309}, None, ("json",)),
+    "infinite time": ({"time": float("inf")}, None, _BOTH),
+    "nan time": ({"time": float("nan")}, None, _BOTH),
+    "bool type": ({"type": True}, None, ("json",)),
+    "bool phase": ({"phase": True}, None, ("json",)),
+    "bool source id": ({"source": {"id": True, "type": 1}}, None, ("json",)),
+    "empty list params": ({"params": []}, None, _BOTH),
+    "zero params": ({"params": 0}, None, _BOTH),
+    "empty string params": ({"params": ""}, None, _BOTH),
+    "list params": ({"params": [1]}, None, _BOTH),
+    "wrong crc": ({}, "crc wrong", _BOTH),
+    "wrong chain": ({}, "chain wrong", _BOTH),
+    "crc without chain": ({}, "chain stripped", ("json",)),
+    "float crc": ({}, "float crc", ("json",)),
+    "float chain": ({}, "float chain", ("json",)),
+    "right after a gap": ({}, "gap", _BOTH),
+}
+
+
+def _with_gap_frame(data):
+    """``data`` with an undecodable copy of event frame 1 spliced in
+    before it: a record the walk drops, outside the chain."""
+    damaged = _with_params(data, 1, b"{not json")
+    offset, _ = _event_frame_offsets(data)[1]
+    start, length = _event_frame_offsets(damaged)[1]
+    frame = damaged[start : start + _FRAME_HEAD.size + length]
+    return data[:offset] + frame + data[offset:]
+
+
+def _exit_document(name, encoding):
+    """The ``_ONE_STEP_EXITS`` document in one encoding, and the
+    position (``ChainVerifier.index``) of the record that must leave."""
+    changes, after, _ = _ONE_STEP_EXITS[name]
+    _, raw = _changed_document(changes)
+    document = json.loads(raw)
+    record = document["events"][1]
+    position = 1
+    if after == "crc wrong":
+        record["crc"] ^= 1
+    elif after == "chain wrong":
+        record["chain"] ^= 1
+    elif after == "chain stripped":
+        del record["chain"]
+    elif after in ("float crc", "float chain"):
+        key = after.split()[1]
+        record[key] = float(record[key])
+    elif after == "gap":
+        document["events"].insert(1, 5)
+        position = 2
+    if encoding == "json":
+        return position, json.dumps(document).encode("utf-8")
+    if after == "gap":
+        return position, _with_gap_frame(to_binary(raw))
+    return position, to_binary(json.dumps(document))
+
+
+@pytest.mark.parametrize(
+    "name, encoding",
+    [
+        (name, encoding)
+        for name, (_, _, encodings) in _ONE_STEP_EXITS.items()
+        for encoding in encodings
+    ],
+    ids=lambda value: value.replace(" ", "-"),
+)
+def test_one_step_exits_take_the_general_rules(name, encoding, tmp_path, monkeypatch):
+    position, raw = _exit_document(name, encoding)
+    path = tmp_path / "doc"
+    left = _left_the_one_step(monkeypatch, path, raw)
+    # The record leaves the one step; the writers' record before it
+    # does not.
+    assert position in left and 0 not in left, left
+    mismatches = _audit_mismatches(path, [(name, raw)])
+    assert not mismatches, "\n".join(mismatches)
 
 
 # ---------------------------------------------------------------------------
