@@ -262,7 +262,7 @@ def _iter_document(
             raw = _read_balanced_object(scanner)
             try:
                 constants = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or an over-long int
                 if strict:
                     raise NetLogParseError(
                         f"malformed constants block: {exc}"
@@ -282,7 +282,7 @@ def _iter_document(
             raw = _read_balanced_object(scanner)
             try:
                 trailer = json.loads(raw)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or an over-long int
                 trailer = None
             verifier.check_trailer(trailer, strict=strict, stats=stats)
         else:
@@ -316,7 +316,7 @@ def _iter_array_records(scanner: _Scanner, strict: bool) -> Iterator[object]:
             raise
         try:
             record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an over-long int
             if strict:
                 raise NetLogParseError(f"malformed event object: {exc}") from exc
             # Balanced but undecodable (in-place corruption): the stream

@@ -30,6 +30,7 @@ from repro.netlog import (
 )
 from repro.netlog.binary import iter_events_binary
 from repro.netlog.convert import to_binary
+from repro.netlog.parallel import verify_document
 from repro.storage import TelemetryStore
 from repro.storage.integrity import FsckKind, fsck
 
@@ -129,6 +130,11 @@ class TestTruncatedDocuments:
             assert salvaged == clean[: len(salvaged)]
 
 
+#: Stands for an integer literal of 5,001 digits, past Python's
+#: int-string limit (4,300 digits), which ``json.dumps`` cannot write.
+_OVER_LONG_INT = "<5001-digit int>"
+
+
 class TestNonStrictRecordHandling:
     """strict=False skips-and-counts malformed records of every shape."""
 
@@ -137,7 +143,7 @@ class TestNonStrictRecordHandling:
             dumps([_event(time=float(i), source_id=i + 1) for i in range(4)])
         )
         mutate(document["events"])
-        return json.dumps(document)
+        return json.dumps(document).replace(f'"{_OVER_LONG_INT}"', "9" * 5001)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -152,6 +158,7 @@ class TestNonStrictRecordHandling:
             lambda events: events[1].update(time=10**400),
             lambda events: events[1]["source"].update(id=float("inf")),
             lambda events: events[1]["source"].update(type=float("-inf")),
+            lambda events: events[1].update(time=_OVER_LONG_INT),
         ],
         ids=[
             "bad-time",
@@ -164,6 +171,7 @@ class TestNonStrictRecordHandling:
             "time-400-digit-int",
             "source-id-infinite",
             "source-type-infinite",
+            "time-5001-digit-int",
         ],
     )
     def test_malformed_record_skipped_and_counted(self, mutate):
@@ -194,6 +202,45 @@ class TestNonStrictRecordHandling:
                 assert phases[1] is EventPhase.NONE
                 assert phases[0] is phases[2] is EventPhase.BEGIN
                 assert stats == ParseStats(parsed=4)
+
+    @pytest.mark.parametrize(
+        "where, want",
+        [
+            ("record", ParseStats(parsed=3, dropped_malformed=1)),
+            ("constants", ParseStats(parsed=4)),
+            ("trailer", ParseStats(parsed=4)),
+        ],
+        ids=["record", "constants", "trailer"],
+    )
+    def test_over_long_int_is_undecodable_json(self, where, want, tmp_path):
+        # ``json.loads`` rejects an int past the int-string limit with a
+        # ValueError that is not a JSONDecodeError; every reader treats
+        # it as undecodable JSON: the whole-document parse salvages, the
+        # streaming scanner drops the record or the block that holds it.
+        document = json.loads(
+            dumps([_event(time=float(i), source_id=i + 1) for i in range(4)])
+        )
+        if where == "record":
+            document["events"][1]["time"] = _OVER_LONG_INT
+        elif where == "constants":
+            document["constants"]["timeTickOffset"] = _OVER_LONG_INT
+        else:
+            document["integrity"] = {"events": _OVER_LONG_INT}
+        text = json.dumps(document).replace(f'"{_OVER_LONG_INT}"', "9" * 5001)
+        parsed = ParseStats()
+        loads(text, strict=False, stats=parsed)
+        assert parsed == want
+        streamed = ParseStats()
+        _streaming(text, streamed)
+        assert streamed == want
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert verify_document(path) == want
+        with pytest.raises(NetLogParseError):
+            loads(text, strict=True)
+        if where != "trailer":  # an unreadable trailer is never fatal
+            with pytest.raises(NetLogParseError):
+                _streaming(text, strict=True)
 
     def test_unknown_type_counted_separately(self):
         record = {
@@ -357,6 +404,40 @@ class TestChecksummedCorruption:
             events = parse(stripped, stats)
             assert len(events) == 10  # nothing is dropped...
             assert stats.verified == 9  # ...but only 9 records verified
+
+    @pytest.mark.parametrize(
+        "chain",
+        ["x", [], {"a": 1}, float("inf"), float("nan")],
+        ids=["string", "list", "object", "inf", "nan"],
+    )
+    def test_unreadable_chain_is_a_chain_break(self, checksummed, chain, tmp_path):
+        # A CRC-valid record whose chain has no int form: in sync it is a
+        # chain break (the record is dropped, the walk resyncs on the next
+        # record); out of sync, after a stripped record, it leaves the
+        # walk unsynced and is kept.  Salvage never raises on it.
+        document = json.loads(checksummed)
+        document["events"][3]["chain"] = chain
+        in_sync = json.dumps(document)
+        document = json.loads(checksummed)
+        document["events"][4].pop("crc")
+        document["events"][4].pop("chain")
+        document["events"][5]["chain"] = chain
+        unsynced = json.dumps(document)
+        for text, want in (
+            (in_sync, ParseStats(parsed=9, verified=10, chain_breaks=1, first_divergence=3)),
+            (unsynced, ParseStats(parsed=10, verified=9)),
+        ):
+            for parse in (lambda t, s: loads(t, strict=False, stats=s), _streaming):
+                stats = ParseStats()
+                parse(text, stats)
+                assert stats == want
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            assert verify_document(path) == want
+        with pytest.raises(NetLogIntegrityError):
+            loads(in_sync, strict=True)
+        with pytest.raises(NetLogIntegrityError):
+            _streaming(in_sync, strict=True)
 
     def test_strict_mode_raises_integrity_error(self, checksummed):
         flipped = checksummed.replace('"time": 3.0', '"time": 7.0', 1)
