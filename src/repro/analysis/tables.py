@@ -82,7 +82,7 @@ def table_1(stats: Sequence[CrawlStats]) -> RenderedTable:
     """Web crawl statistics: successes, failures, error breakdown.
 
     The paper's fixed error columns always render; buckets outside them
-    (e.g. ``VISIT_DEADLINE`` from the supervised executor's watchdog)
+    (e.g. ``VISIT_DEADLINE`` from the supervised executor's deadlines)
     appear as extra columns only when some run actually produced them,
     so fault-free output is byte-identical to the seed's.
     """

@@ -5,8 +5,8 @@ the pipeline and distil the run into a `RunObservation`:
 
 - ``campaign``   — sequential crawl campaign over a small deterministic
   population slice (DNS/network/outage/storage/corruption/crash seams);
-- ``supervised`` — the same campaign with short executor deadlines
-  (hang/slow seams need the watchdog to cancel them quickly);
+- ``supervised`` — the same campaign with a short wall deadline (each
+  hang strike holds the run for it) and a serialized store;
 - ``fabric``     — a 2-shard multi-process fabric run merged against a
   serial baseline (shard crash/stall seams);
 - ``serve``      — a loopback self-test daemon under closed-loop load
@@ -141,10 +141,7 @@ class CampaignDriver:
         if not self.workers:
             return None
         return ExecutorConfig(
-            workers=self.workers,
-            wall_deadline_s=0.3,
-            watchdog_poll_s=0.05,
-            handle_signals=False,
+            workers=self.workers, wall_deadline_s=0.3, handle_signals=False
         )
 
     def _campaign(self, store, archive, injector) -> Campaign:

@@ -20,10 +20,6 @@ from repro.faults.plan import FaultKind
 #: they are plumbing shared by every seam.
 _UTILITY_HOOKS = frozenset({"write_fault_hook"})
 
-#: Kinds with no dedicated injector hook: the executor drives them itself
-#: from `plan.fail_depth` and reports fires through `record_injection`.
-_EXECUTOR_DRIVEN = "record_injection"
-
 
 class SeamDriftError(RuntimeError):
     """The seam registry no longer matches the fault-injection surface."""
@@ -34,7 +30,7 @@ class Seam:
     """One registered fault seam."""
 
     kind: FaultKind
-    #: `FaultInjector` attribute that fires (or records) this kind.
+    #: `FaultInjector` attribute that fires this kind.
     hook: str
     #: Pipeline layer that calls the hook, dotted-module style.
     layer: str
@@ -172,23 +168,25 @@ SEAM_REGISTRY: dict[FaultKind, Seam] = {
         ),
         Seam(
             FaultKind.HANG,
-            hook=_EXECUTOR_DRIVEN,
+            hook="hang_hook",
             layer="crawler.executor",
             driver="supervised",
             exercised_by=(
                 "benchmarks/test_ablation_fault_tolerance.py",
                 "tests/crawler/test_executor.py",
+                "tests/faults/test_injector.py",
             ),
-            description="visit wedges until the watchdog cancels it (wall deadline)",
+            description="visit wedges until its wall deadline cancels it",
         ),
         Seam(
             FaultKind.SLOW,
-            hook=_EXECUTOR_DRIVEN,
+            hook="slow_hook",
             layer="crawler.executor",
             driver="supervised",
             exercised_by=(
                 "benchmarks/test_ablation_fault_tolerance.py",
                 "tests/crawler/test_executor.py",
+                "tests/faults/test_injector.py",
             ),
             description="visit stalls on the simulated clock, eating deadline budget",
         ),

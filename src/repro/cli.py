@@ -1114,11 +1114,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     flush journal) exits ``EXIT_OK``; a drain that times out with
     wedged workers exits ``EXIT_ISSUES``.
     """
-    import signal
     import tempfile
     import threading
 
     from . import obs
+    from .crawler.executor import drain_on_signals
     from .faults import FaultInjector
     from .serve.engine import EngineConfig, JobEngine
     from .serve.http import ReproServer, ServerConfig
@@ -1185,9 +1185,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot bind {args.host}:{args.port}: {exc}") from None
 
     stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        previous = signal.signal(signum, lambda signum, frame: stop.set())
-        args.cleanup.callback(signal.signal, signum, previous)
+    args.cleanup.enter_context(drain_on_signals(stop.set))
     server.start()
     print(f"serving on {server.url} (pid {os.getpid()})", file=sys.stderr)
     while not stop.wait(0.5):

@@ -193,8 +193,8 @@ class Campaign:
         # Commit the store every N visits so a crash loses at most N rows;
         # 0 commits once per OS pass (plus once at the end).
         self.checkpoint_every = checkpoint_every
-        # Every run's visits go through a SupervisedExecutor (watchdog,
-        # deadlines, dead-letter quarantine, drain), one at a time; None
+        # Every run's visits go through a SupervisedExecutor (deadlines,
+        # dead-letter quarantine, drain), one at a time; None
         # takes the default supervision knobs.
         self.executor_config = executor
         #: The executor the most recent run() used — exposes supervision

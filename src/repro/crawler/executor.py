@@ -12,23 +12,25 @@ deterministically failing visit that re-kills every resumed run:
 * Every visit attempt runs under a dual deadline: a *simulated* budget
   (``visit_deadline_ms``, by default the monitor window plus 5 s — a
   ``slow`` fault that stalls past it is cancelled deterministically) and
-  a *wall-clock* guard enforced by the :class:`~.watchdog.Watchdog`
-  thread (a ``hang`` fault is cancelled at most one poll interval past
-  the deadline).  Crawl code never reads the cancel token, so a real
-  visit that overruns the wall deadline runs to completion.
+  a *wall-clock* deadline (``wall_deadline_s``).  An injected ``hang``
+  holds the calling thread until the wall deadline has passed and ends
+  as its cancellation.  Nothing else runs meanwhile, so no watchdog
+  thread is needed, and a real visit that overruns the wall deadline
+  runs to completion.
 * Cancelled attempts are re-tried up to ``quarantine_after`` times; a
   visit that keeps failing comes out as an ``ERR_VISIT_DEADLINE`` Table 1
   failure marked for the dead-letter queue, so resumed campaigns never
   re-poison themselves.
-* With ``handle_signals``, SIGINT/SIGTERM request a graceful drain: the
-  visit in progress finishes, the next one never starts, and
-  :class:`CampaignInterrupted` propagates — a later ``--resume`` is
-  fingerprint-identical to an uninterrupted run.
+* With ``handle_signals``, SIGINT/SIGTERM request a graceful drain
+  (:func:`drain_on_signals`): the visit in progress finishes, the next
+  one never starts, and :class:`CampaignInterrupted` propagates — a
+  later ``--resume`` is fingerprint-identical to an uninterrupted run.
 
 The executor uses the campaign's own fault injector, so every fault
-fires where a bare serial loop fires it.  Only the kinds the executor
-drives itself (``hang``, ``slow``) keep their attempt counters here,
-keyed by (kind, OS, domain).
+fires where a bare serial loop fires it: ``hang`` and ``slow`` strike
+through :meth:`~repro.faults.injector.FaultInjector.hang_hook` and
+:meth:`~repro.faults.injector.FaultInjector.slow_hook`, counted per
+(OS, domain).
 """
 
 from __future__ import annotations
@@ -36,17 +38,15 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .. import obs
 from ..browser.errors import NetError
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultKind, FaultPlan
 from ..web.website import Website
 from .crawl import Crawler, CrawlRecord
-from .watchdog import CancelToken, VisitCancelled, Watchdog
 
 #: How far past the monitor window the default simulated budget reaches
 #: (25 s at the paper's 20 s window).
@@ -58,7 +58,7 @@ _DISPATCHED = obs.counter(
 )
 _DEADLINE_CANCELLED = obs.counter(
     "repro_executor_deadline_cancelled_total",
-    "attempts cancelled by the wall-clock watchdog (hangs rescued)",
+    "attempts cancelled on the wall-clock deadline (hangs rescued)",
 )
 _DEADLINE_EXCEEDED = obs.counter(
     "repro_executor_deadline_exceeded_total",
@@ -78,6 +78,32 @@ class CampaignInterrupted(RuntimeError):
     """A signal drained the campaign; checkpoints were flushed first."""
 
 
+@contextmanager
+def drain_on_signals(callback: Callable[[], None]) -> Iterator[None]:
+    """Route SIGINT and SIGTERM to ``callback`` for the ``with`` block.
+
+    The previous handlers come back on exit.  Off the main thread, where
+    Python cannot install handlers, it does nothing.  The executor, the
+    fabric coordinator and ``repro serve`` drain through it.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = {
+        signum: signal.signal(signum, lambda signum, frame: callback())
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+class _WallDeadlineExceeded(Exception):
+    """Internal: a visit attempt wedged past its wall-clock deadline."""
+
+
 class _SimulatedDeadlineExceeded(Exception):
     """Internal: a visit's simulated cost overran its budget."""
 
@@ -92,10 +118,8 @@ class ExecutorConfig:
     #: Simulated per-visit budget; must exceed the monitor window.  None
     #: derives it from the window: the window plus 5 s.
     visit_deadline_ms: float | None = None
-    #: Wall-clock guard per visit attempt — the hang rescue.
+    #: Wall-clock deadline per visit attempt — how long a hang holds.
     wall_deadline_s: float = 5.0
-    #: Watchdog scan period; bounds cancellation latency.
-    watchdog_poll_s: float = 0.05
     #: Deadline failures before a visit is dead-lettered (K).
     quarantine_after: int = 3
     #: Install SIGINT/SIGTERM drain handlers while running.  The CLI
@@ -118,7 +142,7 @@ class ExecutorStats:
     """What supervision actually did during one campaign run."""
 
     dispatched: int = 0
-    #: Attempts cancelled by the wall-clock watchdog (hangs rescued).
+    #: Attempts cancelled on the wall-clock deadline (hangs rescued).
     deadline_cancelled: int = 0
     #: Attempts cancelled on the simulated budget (slow visits).
     deadline_exceeded: int = 0
@@ -131,7 +155,7 @@ class ExecutorStats:
     #: A signal drained this run.
     drained: bool = False
     #: Worst wall-clock overshoot past the deadline among cancelled
-    #: attempts — the bench asserts this stays under one poll interval.
+    #: attempts — the bench bounds it by scheduler slack.
     max_overshoot_s: float = 0.0
 
 
@@ -162,54 +186,24 @@ class SupervisedExecutor:
     def __init__(self, config: ExecutorConfig | None = None) -> None:
         self.config = config if config is not None else ExecutorConfig()
         self.stats = ExecutorStats()
-        self.watchdog = Watchdog(poll_interval_s=self.config.watchdog_poll_s)
-        self._drain = threading.Event()
-        #: Attempt counters of the executor-driven fault kinds.
-        self._fault_attempts: dict[tuple[FaultKind, str, str], int] = {}
+        self._drain = False
 
     # -- lifecycle ---------------------------------------------------------
 
     @contextmanager
     def supervise(self) -> Iterator["SupervisedExecutor"]:
-        """Start the watchdog (and signal handlers) for a campaign run."""
-        self._drain.clear()
-        self.watchdog.start()
-        restore = self._install_signal_handlers()
-        try:
+        """Scope a campaign run (and its signal drain, when configured)."""
+        self._drain = False
+        with (
+            drain_on_signals(self.request_drain)
+            if self.config.handle_signals
+            else nullcontext()
+        ):
             yield self
-        finally:
-            restore()
-            self.watchdog.stop()
 
     def request_drain(self) -> None:
         """Ask for a graceful drain (what the signal handlers call)."""
-        self._drain.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
-
-    def _install_signal_handlers(self) -> Callable[[], None]:
-        if (
-            not self.config.handle_signals
-            or threading.current_thread() is not threading.main_thread()
-        ):
-            return lambda: None
-        previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[signum] = signal.signal(signum, self._on_signal)
-            except (ValueError, OSError):  # pragma: no cover - exotic hosts
-                continue
-
-        def restore() -> None:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-
-        return restore
-
-    def _on_signal(self, signum: int, frame: object) -> None:
-        self._drain.set()
+        self._drain = True
 
     # -- one OS pass -------------------------------------------------------
 
@@ -234,7 +228,7 @@ class SupervisedExecutor:
         crawler = crawler_factory(injector)
         budget_ms = self._deadline_budget(crawler)
         for index, website in enumerate(websites, start=1):
-            if self._drain.is_set():
+            if self._drain:
                 self.stats.drained = True
                 raise CampaignInterrupted(
                     "campaign drained after signal: every finished visit is "
@@ -267,18 +261,12 @@ class SupervisedExecutor:
     ) -> VisitOutcome:
         config = self.config
         stats = self.stats
-        context = f"{task.os_name}:{task.website.domain}"
         failures = 0
         while True:
-            token = CancelToken()
-            started = time.monotonic()
             try:
-                with self.watchdog.watch(0, context, config.wall_deadline_s, token):
-                    record = self._attempt(crawler, task, injector, token, budget_ms)
+                record = self._attempt(crawler, task, injector, budget_ms)
                 break
-            except VisitCancelled:
-                overshoot = time.monotonic() - started - config.wall_deadline_s
-                stats.max_overshoot_s = max(stats.max_overshoot_s, overshoot)
+            except _WallDeadlineExceeded:
                 stats.deadline_cancelled += 1
                 _DEADLINE_CANCELLED.inc()
             except _SimulatedDeadlineExceeded:
@@ -302,61 +290,36 @@ class SupervisedExecutor:
         crawler: Crawler,
         task: VisitTask,
         injector: FaultInjector | None,
-        token: CancelToken,
         budget_ms: float,
     ) -> CrawlRecord:
-        """One visit attempt, with the executor-driven hang and slow faults."""
+        """One visit attempt, with the injected hang and slow faults."""
         website = task.website
         if injector is None:
             return crawler.crawl_site(website)
-        plan = injector.plan
-        hang_depth = plan.fail_depth(FaultKind.HANG, website.domain)
-        if hang_depth and self._next_attempt(FaultKind.HANG, task) <= hang_depth:
-            injector.record_injection(FaultKind.HANG)
-            self._wedge(token)  # raises VisitCancelled
+        if injector.hang_hook(website.domain, task.os_name):
+            self._hang()
         record = crawler.crawl_site(website)
-        stall_ms = self._slow_stall_ms(plan, task)
+        stall_ms = injector.slow_hook(website.domain, task.os_name)
         if stall_ms:
-            injector.record_injection(FaultKind.SLOW)
             if crawler.environment.monitor_window_ms + stall_ms > budget_ms:
                 raise _SimulatedDeadlineExceeded()
             crawler.clock.advance(stall_ms)
             self.stats.slow_ridden_out += 1
         return record
 
-    def _next_attempt(self, kind: FaultKind, task: VisitTask) -> int:
-        key = (kind, task.os_name, task.website.domain)
-        count = self._fault_attempts.get(key, 0) + 1
-        self._fault_attempts[key] = count
-        return count
+    def _hang(self) -> None:
+        """A hang strike: the visit wedges until its wall deadline passes.
 
-    def _slow_stall_ms(self, plan: FaultPlan, task: VisitTask) -> float:
-        domain = task.website.domain
-        specs = [
-            spec
-            for spec in plan.specs(FaultKind.SLOW)
-            if plan.selects(spec, domain)
-        ]
-        if not specs:
-            return 0.0
-        count = self._next_attempt(FaultKind.SLOW, task)
-        return float(
-            max(
-                (spec.duration for spec in specs if count <= spec.times),
-                default=0,
-            )
-        )
-
-    def _wedge(self, token: CancelToken) -> None:
-        """A hang fault: wedge in wall-clock time until cancelled.
-
-        This is the livelock the watchdog exists for — the loop burns
-        real time and the simulated clock never advances, so only the
-        wall-clock guard can end it.
+        The simulated clock never advances in a wedge, so only the wall
+        deadline can end it; the calling thread holds for that long and
+        the attempt ends as the deadline's cancellation.
         """
-        while not token.wait(0.001):
-            pass
-        raise VisitCancelled("hang fault cancelled by watchdog")
+        deadline_s = self.config.wall_deadline_s
+        started = time.monotonic()
+        time.sleep(deadline_s)
+        overshoot = time.monotonic() - started - deadline_s
+        self.stats.max_overshoot_s = max(self.stats.max_overshoot_s, overshoot)
+        raise _WallDeadlineExceeded()
 
     def _deadline_record(self, task: VisitTask, failures: int) -> CrawlRecord:
         website = task.website

@@ -47,7 +47,7 @@ from ..storage.db import TelemetryStore
 from ..faults.plan import FaultPlan
 from .campaign import Campaign, CampaignResult
 from .crawl import CrawlRecord
-from .executor import CampaignInterrupted
+from .executor import CampaignInterrupted, drain_on_signals
 from . import shard as shard_proto
 from .shard import PopulationSpec, ShardConfig, run_shard
 
@@ -72,6 +72,13 @@ _MERGE_SECONDS = obs.histogram(
     "repro_fabric_merge_seconds",
     "time to fold one shard store into the campaign rollup",
 )
+
+#: A spawned process must report ready within this budget.
+_SPAWN_TIMEOUT_S = 60.0
+#: Coordinator sleep between supervision passes that made no progress.
+_POLL_INTERVAL_S = 0.02
+#: How long to wait for drained shards to exit before killing them.
+_DRAIN_TIMEOUT_S = 30.0
 
 
 class FabricError(RuntimeError):
@@ -106,17 +113,11 @@ class FabricConfig:
     retries: int = 1
     check_connectivity: bool = False
     checkpoint_every: int = 1
-    heartbeat_interval_s: float = 0.2
     #: No heartbeat for this long (while a chunk is in flight) = stalled.
     heartbeat_timeout_s: float = 10.0
-    #: A spawned process must report ready within this budget.
-    spawn_timeout_s: float = 60.0
     #: Restart budget per shard; exhausted = the shard is abandoned and
     #: its work is reassigned to surviving peers.
     max_restarts: int = 2
-    poll_interval_s: float = 0.02
-    #: How long to wait for drained shards to exit before killing them.
-    drain_timeout_s: float = 30.0
     #: Archive document encoding ("json"/"binary"; None = codec default).
     netlog_format: str | None = None
 
@@ -322,58 +323,34 @@ class CrawlFabric:
         completed: set[int] = set()
         interrupted = False
         self._handles = list(shards.values())
-        previous_handlers = self._install_signal_handlers()
         try:
-            for handle in shards.values():
-                self._spawn(handle)
-            while len(completed) < len(chunks):
-                if self._stop.is_set():
-                    interrupted = True
-                    break
-                progressed = self._pump_events(shards, completed)
-                self._check_liveness(shards)
-                if not any(
-                    not handle.dead for handle in shards.values()
-                ):
-                    raise FabricError(
-                        "every shard exhausted its restart budget; "
-                        f"last error: {self._last_error(shards)!r}"
-                    )
-                if not progressed:
-                    time.sleep(self.config.poll_interval_s)
-            self._drain(shards, interrupted=interrupted)
+            # A signal drains every shard through the shared stop event;
+            # children flush their stores before exiting, and the
+            # coordinator checkpoints by merging what they committed.
+            with drain_on_signals(self._stop.set):
+                for handle in shards.values():
+                    self._spawn(handle)
+                while len(completed) < len(chunks):
+                    if self._stop.is_set():
+                        interrupted = True
+                        break
+                    progressed = self._pump_events(shards, completed)
+                    self._check_liveness(shards)
+                    if not any(
+                        not handle.dead for handle in shards.values()
+                    ):
+                        raise FabricError(
+                            "every shard exhausted its restart budget; "
+                            f"last error: {self._last_error(shards)!r}"
+                        )
+                    if not progressed:
+                        time.sleep(_POLL_INTERVAL_S)
+                self._drain(shards, interrupted=interrupted)
         finally:
-            self._restore_signal_handlers(previous_handlers)
             for handle in shards.values():
                 self._reap(handle)
             _LIVE_SHARDS.set(0)
         return interrupted
-
-    def _install_signal_handlers(self):
-        import signal as signal_module
-
-        def request_drain(signum, frame):
-            del frame
-            # Propagates to every shard through the shared stop event;
-            # children flush their stores before exiting, and the
-            # coordinator checkpoints by merging what they committed.
-            self._stop.set()
-
-        previous = {}
-        try:
-            for signum in (signal_module.SIGINT, signal_module.SIGTERM):
-                previous[signum] = signal_module.signal(signum, request_drain)
-        except ValueError:
-            # Not the main thread (tests, embedding): signals stay where
-            # they are; the stop event can still be set directly.
-            pass
-        return previous
-
-    def _restore_signal_handlers(self, previous) -> None:
-        import signal as signal_module
-
-        for signum, handler in previous.items():
-            signal_module.signal(signum, handler)
 
     def _spawn(self, handle: _ShardHandle) -> None:
         config = ShardConfig(
@@ -386,7 +363,6 @@ class CrawlFabric:
             retries=self.config.retries,
             check_connectivity=self.config.check_connectivity,
             checkpoint_every=self.config.checkpoint_every,
-            heartbeat_interval_s=self.config.heartbeat_interval_s,
             netlog_format=self.config.netlog_format,
         )
         handle.tasks = self._ctx.Queue()
@@ -510,7 +486,7 @@ class CrawlFabric:
                 self._restart(handle, shards, reason="crash")
                 continue
             if not handle.ready:
-                if now - handle.spawned_at > self.config.spawn_timeout_s:
+                if now - handle.spawned_at > _SPAWN_TIMEOUT_S:
                     self._restart(handle, shards, reason="spawn-timeout")
                 continue
             if (
@@ -582,7 +558,7 @@ class CrawlFabric:
                 handle.tasks.put((shard_proto.TASK_DRAIN,))
             except (OSError, ValueError):
                 pass
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + _DRAIN_TIMEOUT_S
         waiting = [
             h for h in shards.values()
             if not h.dead and h.process is not None
@@ -594,7 +570,7 @@ class CrawlFabric:
                 if h.process.exitcode is None and not h.drained
             ]
             if waiting:
-                time.sleep(self.config.poll_interval_s)
+                time.sleep(_POLL_INTERVAL_S)
         for handle in shards.values():
             self._reap(handle)
         self.report.visits = sum(h.visits for h in shards.values())

@@ -74,6 +74,9 @@ _PROCESS_LEVEL_KINDS = (
     FaultKind.SHARD_STALL,
 )
 
+#: Least time between two heartbeats (they are sent per visit).
+_HEARTBEAT_INTERVAL_S = 0.2
+
 
 @dataclass(frozen=True, slots=True)
 class PopulationSpec:
@@ -129,7 +132,6 @@ class ShardConfig:
     #: either way the merge converges, re-crawled rows are
     #: content-identical).
     checkpoint_every: int = 1
-    heartbeat_interval_s: float = 0.2
     #: Archive document encoding ("json"/"binary"; None = codec default).
     netlog_format: str | None = None
 
@@ -210,7 +212,7 @@ def run_shard(config: ShardConfig, tasks, events, stop) -> None:
                 # atexit, nothing — resume must cope with the raw truth.
                 os.kill(os.getpid(), signal.SIGKILL)
         now = time.monotonic()
-        if now - state.last_beat >= config.heartbeat_interval_s:
+        if now - state.last_beat >= _HEARTBEAT_INTERVAL_S:
             state.last_beat = now
             events.put(
                 (EVENT_HEARTBEAT, config.shard_id, config.generation,

@@ -1,26 +1,24 @@
-"""Wall-clock supervision for crawl visits: heartbeats, deadlines, rescue.
+"""Wall-clock supervision for serve jobs: deadlines, cancellation, rescue.
 
-The paper bounds every page visit to a 20-second monitoring window but
-still lost visits to browser hangs; at campaign scale an unsupervised
-worker that wedges silently stalls the whole run.  This module is the
-executor's safety net on *real* time (the simulated clock cannot observe
-a livelocked worker — by definition it stops advancing):
+A ``repro serve`` worker analyses one upload at a time, and a wedged or
+poisoned parse would starve the pool forever; the simulated clock cannot
+observe a livelocked worker — by definition it stops advancing.  This
+module is the serve engine's safety net on *real* time:
 
-* each visit attempt runs under a :class:`VisitGuard` holding the
-  worker's heartbeat and a hard wall-clock deadline;
+* each job attempt runs under a :class:`VisitGuard` holding a hard
+  wall-clock deadline;
 * the :class:`Watchdog` thread polls all active guards every
   ``poll_interval_s`` and cancels any attempt past its deadline by
-  setting its :class:`CancelToken` — cooperative code (the injected
-  ``hang`` fault's wedge loop) observes the token and raises
-  :class:`VisitCancelled`;
-* an attempt that *ignores* its cancellation for ``abandon_grace_s`` is
-  declared abandoned: counted, and handed to ``on_abandon`` when the
-  owner set one.  The campaign executor sets none, and no crawl code
-  reads the token, so a real visit past its deadline runs to completion.
+  setting its :class:`CancelToken` — cooperative code (the analysis
+  loop's checkpoints, the injected ``hang`` fault's wedge loop) observes
+  the token and raises :class:`VisitCancelled`;
+* an attempt that *ignores* its cancellation for five poll intervals is
+  declared abandoned and counted.
 
-Cancellation latency is bounded by construction: a cancelled visit ends
-at most one poll interval after its deadline, which is exactly what the
-chaos bench asserts.
+Cancellation latency is bounded by construction: a cancelled job ends
+at most one poll interval after its deadline.  Campaigns run no
+watchdog: their visits run inline, so the executor ends an injected
+hang at the wall deadline itself.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 from contextlib import contextmanager
 
 from .. import obs
@@ -41,6 +39,11 @@ _ABANDONED = obs.counter(
     "repro_watchdog_abandoned_total",
     "workers written off after ignoring their cancellation",
 )
+#: Poll intervals a cancelled attempt may ignore its token before it is
+#: written off: enough for any cooperative attempt to notice, short
+#: enough that a truly wedged worker is counted quickly.
+_ABANDON_GRACE_POLLS = 5
+
 #: The checked form of the invariant documented above: cancellation
 #: latency (guard deadline → token cancelled) is bounded by one poll
 #: interval, so the buckets concentrate around typical poll settings.
@@ -89,43 +92,19 @@ class VisitGuard:
     deadline_s: float
     token: CancelToken
     started: float = field(default_factory=time.monotonic)
-    last_beat: float = 0.0
     cancelled_at: float | None = None
     cleared: bool = False
     abandoned: bool = False
-
-    def __post_init__(self) -> None:
-        self.last_beat = self.started
-
-    def beat(self) -> None:
-        """Worker heartbeat: proof of liveness for observability."""
-        self.last_beat = time.monotonic()
-
-    @property
-    def elapsed_s(self) -> float:
-        return time.monotonic() - self.started
 
 
 class Watchdog:
     """Supervises visit guards on a dedicated wall-clock thread."""
 
-    def __init__(
-        self,
-        *,
-        poll_interval_s: float = 0.05,
-        abandon_grace_s: float | None = None,
-        on_abandon: Callable[[VisitGuard], None] | None = None,
-    ) -> None:
+    def __init__(self, *, poll_interval_s: float = 0.05) -> None:
         if poll_interval_s <= 0:
             raise ValueError("poll interval must be positive")
         self.poll_interval_s = poll_interval_s
-        # Default grace: several polls — enough for any cooperative visit
-        # to notice its token, short enough that a truly wedged worker is
-        # written off quickly.
-        self.abandon_grace_s = (
-            abandon_grace_s if abandon_grace_s is not None else 5 * poll_interval_s
-        )
-        self.on_abandon = on_abandon
+        self.abandon_grace_s = _ABANDON_GRACE_POLLS * poll_interval_s
         self.cancelled = 0
         self.abandoned = 0
         self._guards: dict[int, VisitGuard] = {}
@@ -210,5 +189,3 @@ class Watchdog:
                 guard.abandoned = True
                 self.abandoned += 1
                 _ABANDONED.inc()
-                if self.on_abandon is not None:
-                    self.on_abandon(guard)

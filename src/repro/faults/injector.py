@@ -22,7 +22,10 @@ Seams (each accepts a plain callable, never the injector itself):
   NetLog document the way a killed Chrome does;
 * ``storage.db`` — :meth:`FaultInjector.storage_hook` plugs into
   :class:`~repro.storage.db.TelemetryStore` and raises
-  :class:`StorageWriteError` on scheduled writes.
+  :class:`StorageWriteError` on scheduled writes;
+* ``crawler.executor`` — :meth:`FaultInjector.hang_hook` and
+  :meth:`FaultInjector.slow_hook` tell the supervised executor (and the
+  serve engine, for ``hang``) whether an attempt wedges or stalls.
 """
 
 from __future__ import annotations
@@ -61,37 +64,40 @@ class FaultInjector:
     plan: FaultPlan = field(default_factory=FaultPlan)
     #: Injection counts per fault kind, for observability and tests.
     injected: dict[FaultKind, int] = field(default_factory=dict)
-    _attempts: dict[tuple[FaultKind, str], int] = field(default_factory=dict)
+    _attempts: dict[tuple[FaultKind, str | None, str], int] = field(
+        default_factory=dict
+    )
     _connectivity_checks: int = 0
     _visits: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, compare=False)
 
     # -- shared bookkeeping ------------------------------------------------
 
-    def _next_attempt(self, kind: FaultKind, key: str) -> int:
+    def _next_attempt(
+        self, kind: FaultKind, key: str, scope: str | None = None
+    ) -> int:
+        counter = (kind, scope, key)
         with self._lock:
-            count = self._attempts.get((kind, key), 0) + 1
-            self._attempts[(kind, key)] = count
+            count = self._attempts.get(counter, 0) + 1
+            self._attempts[counter] = count
             return count
 
     def _record(self, kind: FaultKind) -> None:
         with self._lock:
             self.injected[kind] = self.injected.get(kind, 0) + 1
 
-    def record_injection(self, kind: FaultKind) -> None:
-        """Count an injection executed outside the injector's own seams
-        (the supervised executor drives hang/slow strikes itself)."""
-        self._record(kind)
-
     def injected_total(self) -> int:
         return sum(self.injected.values())
 
-    def _transient_strike(self, kind: FaultKind, key: str) -> bool:
-        """Advance the attempt counter; True while the fault is active."""
+    def _transient_strike(
+        self, kind: FaultKind, key: str, scope: str | None = None
+    ) -> bool:
+        """Advance the attempt counter of ``key`` (within ``scope``, when
+        given); True while the fault is active."""
         depth = self.plan.fail_depth(kind, key)
         if depth == 0:
             return False
-        if self._next_attempt(kind, key) > depth:
+        if self._next_attempt(kind, key, scope) > depth:
             return False
         self._record(kind)
         return True
@@ -250,6 +256,42 @@ class FaultInjector:
             raise InjectedDiskFullError(
                 f"injected disk-full archiving NetLog: {key}"
             )
+
+    # -- crawler.executor seams --------------------------------------------
+
+    def hang_hook(self, key: str, scope: str | None = None) -> bool:
+        """True when this attempt on ``key`` wedges until its wall deadline.
+
+        Transient like DNS: a ``hang`` spec with ``times=N`` wedges the
+        first N attempts on a selected key.  Attempts count per
+        (``scope``, ``key``): the executor passes the visit's OS, so each
+        (OS, domain) visit sees its own schedule; serve passes none and
+        counts per upload digest.
+        """
+        return self._transient_strike(FaultKind.HANG, key, scope)
+
+    def slow_hook(self, key: str, scope: str | None = None) -> float:
+        """Simulated milliseconds this attempt on ``key`` stalls (0.0: none).
+
+        Every ``slow`` spec that selects ``key`` counts the attempt (per
+        ``scope`` and ``key``, as in :meth:`hang_hook`); the stall is the
+        longest ``duration`` among the specs whose ``times`` the attempt
+        is still within.
+        """
+        specs = [
+            spec
+            for spec in self.plan.specs(FaultKind.SLOW)
+            if self.plan.selects(spec, key)
+        ]
+        if not specs:
+            return 0.0
+        count = self._next_attempt(FaultKind.SLOW, key, scope)
+        stall = max(
+            (spec.duration for spec in specs if count <= spec.times), default=0
+        )
+        if stall:
+            self._record(FaultKind.SLOW)
+        return float(stall)
 
     # -- crawler.fabric seams ----------------------------------------------
 

@@ -59,8 +59,8 @@ class FaultKind(str, enum.Enum):
     STORAGE_WRITE = "storage-write"
     #: Hard crash of the campaign process after N visits.
     CRASH = "crash"
-    #: Visit wedges in wall-clock time until the watchdog cancels it
-    #: (supervised executor only).  ``times`` is the transient depth:
+    #: Visit wedges in wall-clock time until its wall deadline cancels
+    #: it (supervised executor and serve engine).  ``times`` is the transient depth:
     #: how many attempts on a selected site hang before it recovers —
     #: a depth at or above the executor's quarantine threshold makes the
     #: site a deterministic failer that ends in the dead-letter queue.

@@ -226,12 +226,18 @@ class BinaryRecordWriter:
         """Serialise one JSON-shaped record dict, preserving stored
         crc/chain values and the int-ness of ``time`` (both matter for
         canonical-form equality when the document is verified or
-        transcoded back)."""
+        transcoded back).
+
+        A frame carries both integrity fields or neither, so a record
+        with only one of them raises ``ValueError``: dropping it would
+        hide the damage the JSON audit counts."""
         source = record["source"]
         crc = record.get("crc")
         chain = record.get("chain")
         integrity = b""
-        if crc is not None and chain is not None:
+        if (crc is None) != (chain is None):
+            raise ValueError("a record with crc or chain needs both")
+        if crc is not None:
             integrity = _INTEGRITY.pack(int(crc), int(chain))
             self.chain = int(chain)
         self._write_frame(

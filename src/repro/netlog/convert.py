@@ -30,7 +30,7 @@ from .binary import (
     write_binary_head,
 )
 from .codec import FORMAT_BINARY, FORMAT_JSON, coerce_document, get_codec
-from .parser import NetLogParseError
+from .parser import NetLogParseError, _events_array
 from .writer import encode_json, write_document_head
 
 
@@ -48,13 +48,9 @@ def to_binary(source: "bytes | str | IO[str] | IO[bytes]") -> bytes:
         return document  # type: ignore[return-value]
     try:
         decoded = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an int past the int-string limit
         raise NetLogParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise NetLogParseError("NetLog document must be a JSON object")
-    records = decoded.get("events")
-    if not isinstance(records, list):
-        raise NetLogParseError("NetLog document missing 'events' array")
+    _, records = _events_array(decoded)
     constants = decoded.get("constants")
     if not isinstance(constants, dict):
         constants = None

@@ -762,12 +762,22 @@ def _events_array(document: object) -> tuple[dict, list]:
     raises :class:`NetLogParseError` when it is not a NetLog object."""
     if not isinstance(document, dict):
         raise NetLogParseError("NetLog document must be a JSON object")
-    constants = document.get("constants") or {}
-    event_names = constants.get("logEventTypes") or {}
     raw_events = document.get("events")
     if not isinstance(raw_events, list):
         raise NetLogParseError("NetLog document missing 'events' array")
-    return event_names, raw_events
+    return event_name_table(document.get("constants")), raw_events
+
+
+def event_name_table(constants: object) -> dict:
+    """The event-type name table of a decoded ``constants`` block.
+
+    A block or a ``logEventTypes`` table that is not an object gives no
+    names, so a record typed by name is then of an unknown type.
+    """
+    if not isinstance(constants, dict):
+        return {}
+    names = constants.get("logEventTypes")
+    return names if isinstance(names, dict) else {}
 
 
 def walk_records(

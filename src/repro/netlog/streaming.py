@@ -31,6 +31,7 @@ from .parser import (
     NetLogParseError,
     NetLogTruncationError,
     ParseStats,
+    event_name_table,
     walk_records,
 )
 
@@ -96,7 +97,10 @@ def _read_string(scanner: _Scanner) -> str:
             parts.append(ch + escaped)
             continue
         if ch == '"':
-            return json.loads('"' + "".join(parts) + '"')
+            try:
+                return json.loads('"' + "".join(parts) + '"')
+            except ValueError as exc:  # an invalid escape or control char
+                raise NetLogParseError(f"malformed string: {exc}") from exc
         parts.append(ch)
 
 
@@ -267,8 +271,8 @@ def _iter_document(
                     raise NetLogParseError(
                         f"malformed constants block: {exc}"
                     ) from exc
-                constants = {}
-            event_names = constants.get("logEventTypes") or {}
+                constants = None
+            event_names = event_name_table(constants)
         elif key == "events" and first == "[":
             saw_events = True
             yield from walk_records(

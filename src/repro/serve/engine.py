@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..crawler.watchdog import CancelToken, Watchdog
-from ..faults import FaultInjector, FaultKind, InjectedDiskFullError
+from ..faults import FaultInjector, InjectedDiskFullError
 from ..storage.jobs import (
     DONE,
     FAILED,
@@ -77,6 +77,16 @@ _BREAKER_OPEN = obs.gauge(
     "repro_serve_breaker_open",
     "1 while the overload breaker is open (degraded mode)",
 )
+
+#: The breaker counts worker failures inside this sliding window.
+_BREAKER_WINDOW_S = 30.0
+#: Watchdog scan period; bounds job-cancellation latency.
+_WATCHDOG_POLL_S = 0.05
+#: Retry-After clamp (seconds) for 429/503 responses.
+_RETRY_AFTER_MIN_S = 1
+_RETRY_AFTER_MAX_S = 60
+#: Seed for the EWMA of observed service time until real jobs land.
+_DEFAULT_SERVICE_TIME_S = 0.05
 
 
 class RejectedUpload(RuntimeError):
@@ -122,17 +132,10 @@ class EngineConfig:
     #: Re-run budget: a job whose worker crashes/cancels this many times
     #: is quarantined (poison upload), never retried again.
     quarantine_after: int = 3
-    #: Breaker: this many worker failures within ``breaker_window_s``
-    #: flip the engine into degraded mode for ``breaker_cooldown_s``.
+    #: Breaker: this many worker failures within 30 s flip the engine
+    #: into degraded mode for ``breaker_cooldown_s``.
     breaker_threshold: int = 5
-    breaker_window_s: float = 30.0
     breaker_cooldown_s: float = 2.0
-    watchdog_poll_s: float = 0.05
-    #: Retry-After clamp (seconds) for 429/503 responses.
-    retry_after_min_s: int = 1
-    retry_after_max_s: int = 60
-    #: Seed for the EWMA of observed service time until real jobs land.
-    default_service_time_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -164,9 +167,8 @@ class _Job:
 class _Breaker:
     """Sliding-window failure breaker: closed -> open -> half-open."""
 
-    def __init__(self, threshold: int, window_s: float, cooldown_s: float) -> None:
+    def __init__(self, threshold: int, cooldown_s: float) -> None:
         self._threshold = threshold
-        self._window_s = window_s
         self._cooldown_s = cooldown_s
         self._failures: collections.deque[float] = collections.deque()
         self._opened_at: float | None = None
@@ -176,7 +178,7 @@ class _Breaker:
         now = time.monotonic()
         with self._lock:
             self._failures.append(now)
-            while self._failures and self._failures[0] < now - self._window_s:
+            while self._failures and self._failures[0] < now - _BREAKER_WINDOW_S:
                 self._failures.popleft()
             if self._opened_at is not None:
                 # A failed half-open probe re-opens the cooldown window.
@@ -238,19 +240,14 @@ class JobEngine:
         self._lock = threading.Lock()
         self._draining = False
         self._started = False
-        self._ewma_s = self.config.default_service_time_s
+        self._ewma_s = _DEFAULT_SERVICE_TIME_S
         self._breaker = _Breaker(
-            self.config.breaker_threshold,
-            self.config.breaker_window_s,
-            self.config.breaker_cooldown_s,
+            self.config.breaker_threshold, self.config.breaker_cooldown_s
         )
         #: Durability losses observed writing the journal (disk full);
         #: surfaced on /metricsz and the status endpoint, never fatal.
         self.journal_errors = 0
-        #: Per-digest hang-strike counters (the engine drives ``hang``
-        #: faults itself, like the supervised executor does).
-        self._hang_attempts: dict[str, int] = {}
-        self._watchdog = Watchdog(poll_interval_s=self.config.watchdog_poll_s)
+        self._watchdog = Watchdog(poll_interval_s=_WATCHDOG_POLL_S)
         self._workers: list[threading.Thread] = []
 
     # -- lifecycle ----------------------------------------------------------
@@ -434,23 +431,10 @@ class JobEngine:
         """Retry hint from queue depth and the observed service rate."""
         depth = self._queue.qsize() + self.config.workers
         eta = depth * self._ewma_s / self.config.workers
-        return int(
-            min(
-                max(math.ceil(eta), self.config.retry_after_min_s),
-                self.config.retry_after_max_s,
-            )
-        )
+        return _clamp_retry_after(eta)
 
     def _degraded_retry_after_s(self) -> int:
-        return int(
-            min(
-                max(
-                    math.ceil(self._breaker.cooldown_remaining_s()),
-                    self.config.retry_after_min_s,
-                ),
-                self.config.retry_after_max_s,
-            )
-        )
+        return _clamp_retry_after(self._breaker.cooldown_remaining_s())
 
     # -- status -------------------------------------------------------------
 
@@ -581,19 +565,10 @@ class JobEngine:
             self._run_job(index, job_id)
 
     def _maybe_hang(self, digest: str, token: CancelToken) -> None:
-        """Drive a scheduled ``hang`` fault: wedge until the watchdog
-        cancels this attempt (the serve twin of the executor's strike)."""
-        if self.injector is None:
+        """A ``hang`` strike on this upload wedges the attempt until the
+        watchdog cancels it."""
+        if self.injector is None or not self.injector.hang_hook(digest):
             return
-        depth = self.injector.plan.fail_depth(FaultKind.HANG, digest)
-        if depth == 0:
-            return
-        with self._lock:
-            count = self._hang_attempts.get(digest, 0) + 1
-            self._hang_attempts[digest] = count
-        if count > depth:
-            return
-        self.injector.record_injection(FaultKind.HANG)
         while not token.wait(0.05):
             pass
         token.checkpoint()  # raises VisitCancelled
@@ -696,3 +671,10 @@ class JobEngine:
     def _observe_service_time(self, elapsed_s: float) -> None:
         # EWMA with alpha 0.3: reactive to load shifts, stable under noise.
         self._ewma_s = 0.7 * self._ewma_s + 0.3 * elapsed_s
+
+
+def _clamp_retry_after(seconds: float) -> int:
+    """A Retry-After hint: ``seconds`` rounded up, within the clamp."""
+    return int(
+        min(max(math.ceil(seconds), _RETRY_AFTER_MIN_S), _RETRY_AFTER_MAX_S)
+    )

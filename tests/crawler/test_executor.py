@@ -1,10 +1,12 @@
 """Supervised executor tests: determinism, deadlines, quarantine.
 
-Fast-by-construction: small populations, short wall deadlines, tight
-watchdog polls.  The chaos bench covers the same properties at scale.
+Fast-by-construction: small populations and short wall deadlines.  The
+chaos bench covers the same properties at scale.
 """
 
 import hashlib
+import threading
+import time
 
 import pytest
 
@@ -23,7 +25,6 @@ SCALE = 0.002
 #: Short wall deadlines keep hang rescues cheap in tests.
 FAST = dict(
     wall_deadline_s=0.1,
-    watchdog_poll_s=0.02,
     quarantine_after=3,
     handle_signals=False,
 )
@@ -124,6 +125,34 @@ class TestHangSupervision:
             # The absorbed hang shows up in the attempt accounting.
             assert os_stats.total_attempts == len(population) * 2
             assert os_stats.retried == len(population)
+
+    def test_hang_campaign_starts_no_thread(self, monkeypatch):
+        started = []
+        original = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            return original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        population = _tiny_population()
+        campaign = Campaign(fault_plan=self._plan(times=1), executor=_config(1))
+        campaign.run(population)
+        assert campaign.last_executor.stats.deadline_cancelled == len(population) * 3
+        assert started == []
+
+    def test_each_hang_ends_just_past_its_wall_deadline(self):
+        population = _tiny_population()
+        campaign = Campaign(fault_plan=self._plan(times=1), executor=_config(1))
+        started = time.monotonic()
+        campaign.run(population)
+        elapsed = time.monotonic() - started
+        stats = campaign.last_executor.stats
+        deadline = FAST["wall_deadline_s"]
+        # Every hang held the run for its whole wall deadline, and none
+        # ran more than scheduler jitter past it.
+        assert elapsed >= stats.deadline_cancelled * deadline
+        assert 0.0 <= stats.max_overshoot_s < deadline
 
     def test_deterministic_hang_is_quarantined_exactly_once(self):
         population = _tiny_population()

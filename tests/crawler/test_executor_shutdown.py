@@ -7,13 +7,18 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 import repro
 from repro.crawler.campaign import Campaign, finding_fingerprint
-from repro.crawler.executor import CampaignInterrupted, ExecutorConfig
+from repro.crawler.executor import (
+    CampaignInterrupted,
+    ExecutorConfig,
+    drain_on_signals,
+)
 from repro.faults import FaultKind, FaultPlan, FaultSpec, InjectedCrashError
 from repro.storage.db import TelemetryStore
 from repro.storage.integrity import campaign_digest
@@ -28,7 +33,6 @@ SERIAL_DIGEST_AT_001 = (
 
 FAST = dict(
     wall_deadline_s=0.1,
-    watchdog_poll_s=0.02,
     quarantine_after=3,
 )
 
@@ -264,3 +268,38 @@ def test_injected_crash_then_resume_matches_uninterrupted(workers):
     assert _table1(resumed) == _table1(uninterrupted)
     assert _fingerprints(resumed) == _fingerprints(uninterrupted)
     assert len(store.visits(population.name)) == len(population) * 3
+
+
+class TestDrainOnSignals:
+    """The one SIGINT/SIGTERM drain the executor, the fabric coordinator
+    and ``repro serve`` install."""
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_signal_in_block_calls_back_then_handler_is_restored(self, signum):
+        calls = []
+        before = signal.getsignal(signum)
+        with drain_on_signals(lambda: calls.append(signum)):
+            signal.raise_signal(signum)
+        assert calls == [signum]
+        assert signal.getsignal(signum) is before
+
+    def test_off_the_main_thread_it_does_nothing(self):
+        before = {
+            signum: signal.getsignal(signum)
+            for signum in (signal.SIGINT, signal.SIGTERM)
+        }
+        seen = {}
+
+        def enter():
+            with drain_on_signals(lambda: None):
+                seen.update(
+                    (signum, signal.getsignal(signum)) for signum in before
+                )
+
+        thread = threading.Thread(target=enter)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert seen == before

@@ -44,30 +44,28 @@ def test_watchdog_ignores_cleared_guards():
 
 
 def test_watchdog_abandons_uncooperative_visit():
-    abandoned = []
-    done = threading.Event()
+    guards = []
 
     def uncooperative(token: CancelToken, watchdog: Watchdog) -> None:
-        with watchdog.watch(7, "linux:wedged.example", 0.02, token):
-            # Ignore the cancellation entirely — a true wedge.
-            while not done.wait(0.005):
-                pass
+        with watchdog.watch(7, "linux:wedged.example", 0.02, token) as guard:
+            guards.append(guard)
+            # Ignore the cancellation entirely — a true wedge — until the
+            # watchdog writes the attempt off (grace: five 0.01 s polls).
+            deadline = time.monotonic() + 5.0
+            while not watchdog.abandoned and time.monotonic() < deadline:
+                time.sleep(0.005)
 
     token = CancelToken()
-    with Watchdog(
-        poll_interval_s=0.01,
-        abandon_grace_s=0.05,
-        on_abandon=lambda guard: (abandoned.append(guard), done.set()),
-    ) as watchdog:
+    with Watchdog(poll_interval_s=0.01) as watchdog:
         thread = threading.Thread(
             target=uncooperative, args=(token, watchdog), daemon=True
         )
         thread.start()
-        assert done.wait(5.0), "watchdog never abandoned the wedged visit"
-        thread.join(timeout=5.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert watchdog.abandoned == 1, "watchdog never abandoned the wedged visit"
         assert watchdog.cancelled == 1
-        assert watchdog.abandoned == 1
-    (guard,) = abandoned
+    (guard,) = guards
     assert guard.worker_id == 7
     assert guard.abandoned
     assert token.cancelled

@@ -102,6 +102,60 @@ class TestCounterSeams:
         injector.on_visit()
 
 
+class TestExecutorSeams:
+    OSES = ("windows", "linux", "mac")
+
+    def test_hang_strikes_selected_key_then_recovers(self):
+        injector = _injector(FaultSpec(kind=FaultKind.HANG, rate=0.2, times=2))
+        domain = _faulted_key(injector, FaultKind.HANG, KEYS)
+        assert injector.hang_hook(domain, "windows")
+        assert injector.hang_hook(domain, "windows")
+        # Transient depth exhausted: the visit runs from now on.
+        assert not injector.hang_hook(domain, "windows")
+        clean = next(
+            k for k in KEYS if not injector.plan.fail_depth(FaultKind.HANG, k)
+        )
+        assert not injector.hang_hook(clean, "windows")
+        assert injector.injected[FaultKind.HANG] == 2
+
+    def test_hang_counts_attempts_per_scope(self):
+        injector = _injector(FaultSpec(kind=FaultKind.HANG, rate=0.2, times=1))
+        domain = _faulted_key(injector, FaultKind.HANG, KEYS)
+        # One domain is struck on each OS independently ...
+        struck = [injector.hang_hook(domain, os_name) for os_name in self.OSES]
+        assert struck == [True] * 3
+        assert not any(injector.hang_hook(domain, os_name) for os_name in self.OSES)
+        # ... and without a scope (serve) attempts count per key alone.
+        assert injector.hang_hook(domain)
+        assert not injector.hang_hook(domain)
+        assert injector.injected[FaultKind.HANG] == 4
+
+    def test_slow_stalls_longest_duration_still_within_times(self):
+        injector = _injector(
+            FaultSpec(kind=FaultKind.SLOW, rate=1.0, times=1, duration=10_000),
+            FaultSpec(kind=FaultKind.SLOW, rate=1.0, times=2, duration=3_000),
+        )
+        stalls = [injector.slow_hook("a.example", "linux") for _ in range(3)]
+        assert stalls == [10_000.0, 3_000.0, 0.0]
+        # Another OS has its own attempt counter.
+        assert injector.slow_hook("a.example", "mac") == 10_000.0
+        assert injector.injected[FaultKind.SLOW] == 3
+
+    def test_slow_unselected_key_is_never_stalled(self):
+        injector = _injector(
+            FaultSpec(kind=FaultKind.SLOW, rate=0.2, duration=3_000)
+        )
+        domain = _faulted_key(injector, FaultKind.SLOW, KEYS)
+        clean = next(
+            k for k in KEYS if not injector.plan.fail_depth(FaultKind.SLOW, k)
+        )
+        assert all(injector.slow_hook(clean, "windows") == 0.0 for _ in range(3))
+        assert FaultKind.SLOW not in injector.injected
+        assert injector.slow_hook(domain, "windows") == 3_000.0
+        assert injector.slow_hook(domain, "windows") == 0.0
+        assert injector.injected[FaultKind.SLOW] == 1
+
+
 class TestShardSeams:
     def _spec(self, kind, **overrides):
         fields = dict(kind=kind, rate=1.0, at_count=3, times=1)
@@ -309,6 +363,8 @@ class TestEmptyPlan:
         assert injector.corrupt_netlog("{}", "k") == "{}"
         injector.storage_hook("k")
         injector.archive_write_hook("k")
+        assert injector.hang_hook("example.com", "windows") is False
+        assert injector.slow_hook("example.com", "windows") == 0.0
         injector.on_visit()
         assert injector.injected_total() == 0
 

@@ -655,6 +655,34 @@ class TestTranscoding:
         with pytest.raises(NetLogParseError):
             to_binary(text[: len(text) // 2])
 
+    def test_over_long_int_is_rejected(self):
+        # Past Python's int-string limit json.loads raises a ValueError
+        # that is not a JSONDecodeError: still undecodable JSON.
+        document = json.loads(dumps(_events(2)))
+        document["events"][0]["time"] = "<int>"
+        text = json.dumps(document).replace('"<int>"', "9" * 5001)
+        with pytest.raises(NetLogParseError, match="invalid JSON"):
+            to_binary(text)
+
+    @pytest.mark.parametrize("field", ["crc", "chain"])
+    def test_lone_integrity_field_is_refused(self, field):
+        # A frame carries crc and chain together or not at all; writing
+        # a lone one as neither would launder the damage the JSON audit
+        # counts (a lone chain is a chain break there) into a clean
+        # document, and drop a lone crc's verification.
+        record = {
+            "time": 1.0,
+            "type": int(EventType.URL_REQUEST_START_JOB),
+            "source": {"id": 1, "type": int(SourceType.URL_REQUEST)},
+            "phase": int(EventPhase.BEGIN),
+            "params": {"url": "http://localhost/"},
+        }
+        payload = canonical_record_bytes(record)
+        record[field] = zlib.crc32(payload, CHAIN_SEED if field == "chain" else 0)
+        text = json.dumps({"events": [record]})
+        with pytest.raises(NetLogParseError, match="not representable in binary form"):
+            to_binary(text)
+
     def test_foreign_constants_pass_through(self):
         # A hand-built (non-writer) document keeps its constants block.
         document = {

@@ -242,6 +242,50 @@ class TestNonStrictRecordHandling:
             with pytest.raises(NetLogParseError):
                 _streaming(text, strict=True)
 
+    @pytest.mark.parametrize(
+        "constants",
+        [[1], "x", {"logEventTypes": [1]}, {"logEventTypes": "X"}],
+        ids=["block-list", "block-string", "table-list", "table-string"],
+    )
+    def test_name_table_not_an_object_gives_no_names(self, constants, tmp_path):
+        # A record typed by name is then of an unknown type: skipped and
+        # counted by every reader alike, and fatal only in strict mode.
+        document = json.loads(
+            dumps([_event(time=float(i), source_id=i + 1) for i in range(3)])
+        )
+        document["constants"] = constants
+        document["events"][1]["type"] = "X"
+        text = json.dumps(document)
+        want = ParseStats(parsed=2, dropped_unknown_type=1)
+        parsed = ParseStats()
+        assert len(loads(text, strict=False, stats=parsed)) == 2
+        assert parsed == want
+        streamed = ParseStats()
+        assert len(_streaming(text, streamed)) == 2
+        assert streamed == want
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert verify_document(path) == want
+        with pytest.raises(NetLogParseError, match="unknown event type"):
+            loads(text, strict=True)
+        with pytest.raises(NetLogParseError, match="unknown event type"):
+            _streaming(text, strict=True)
+
+    def test_invalid_escape_in_top_level_key_is_not_a_netlog(
+        self, document, tmp_path
+    ):
+        # A top-level syntax error like any other: every reader rejects
+        # the document with NetLogParseError, in both modes.
+        text = '{"a\\q": 1, ' + document.lstrip()[1:]
+        for strict in (False, True):
+            with pytest.raises(NetLogParseError):
+                loads(text, strict=strict)
+            with pytest.raises(NetLogParseError):
+                _streaming(text, strict=strict)
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert verify_document(path).damaged
+
     def test_unknown_type_counted_separately(self):
         record = {
             "time": 1.0,

@@ -6,7 +6,8 @@ puts arbitrary JSON values (null, bools, lists, objects, NaN, ±Infinity,
 400-digit ints, strings, or the key left out) into the fields the record
 rules and the chain walk read (``time``, ``type``, ``source`` and its
 ``id``/``type``, ``phase``, ``params``, ``crc``, ``chain``) of plain and
-checksummed JSON documents; the binary property puts arbitrary short or
+checksummed JSON documents, and into their ``constants`` block and its
+``logEventTypes`` name table; the binary property puts arbitrary short or
 odd payloads, under a valid frame CRC, in place of or next to an event
 frame of a plain or checksummed binary document.  Each document runs
 through ``loads``, ``iter_events_streaming`` and the audit
@@ -63,6 +64,9 @@ FIELDS = (
 #: Stands for "leave the key out".
 _ABSENT = object()
 
+#: An event-type name the drawn name tables may define.
+_NAME = "X"
+
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -71,16 +75,32 @@ _scalars = st.one_of(
     st.integers(-(10**400), -(10**399)),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
+    st.just(_NAME),
 )
-_values = st.one_of(
-    st.just(_ABSENT),
-    st.recursive(
-        _scalars,
-        lambda children: st.one_of(
-            st.lists(children, max_size=3),
-            st.dictionaries(st.text(max_size=3), children, max_size=3),
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=5,
+)
+_values = st.one_of(st.just(_ABSENT), _json_values)
+
+#: A ``constants`` block: left out, any value, or an object whose
+#: ``logEventTypes`` is left out, any value, or a table naming ``_NAME``
+#: a known code, an unknown one or any value.
+_constants = st.one_of(
+    _values,
+    st.builds(
+        lambda table: {} if table is _ABSENT else {"logEventTypes": table},
+        st.one_of(
+            _values,
+            st.dictionaries(
+                st.just(_NAME),
+                st.one_of(st.sampled_from([2, 9999]), _json_values),
+            ),
         ),
-        max_leaves=5,
     ),
 )
 
@@ -110,9 +130,11 @@ def _records(draw):
     return record
 
 
-def _json_document(records, checksums):
-    """The document of ``records``; checksummed, each record gets the
-    crc and chain a writer would compute unless it drew its own."""
+def _json_document(records, checksums, constants=_ABSENT):
+    """The document of ``records`` after ``constants`` (unless left
+    out); checksummed, each record gets the crc and chain a writer would
+    compute unless it drew its own."""
+    head = {} if constants is _ABSENT else {"constants": constants}
     chain = CHAIN_SEED
     stamped = []
     for record in records:
@@ -122,13 +144,13 @@ def _json_document(records, checksums):
         written.update(record)
         stamped.append({k: v for k, v in written.items() if v is not _ABSENT})
     if not checksums:
-        return json.dumps({"events": stamped})
+        return json.dumps({**head, "events": stamped})
     trailer = {
         "algorithm": CHECKSUM_ALGORITHM,
         "events": len(stamped),
         "chain": chain,
     }
-    return json.dumps({"events": stamped, "integrity": trailer})
+    return json.dumps({**head, "events": stamped, "integrity": trailer})
 
 
 def _audit(text, tmp_path_factory):
@@ -148,11 +170,12 @@ def _strict_raises_only_parse_errors(parse):
 @given(
     records=st.lists(_records(), min_size=1, max_size=3),
     checksums=st.booleans(),
+    constants=_constants,
 )
 def test_json_salvage_counts_every_odd_field(
-    records, checksums, tmp_path_factory
+    records, checksums, constants, tmp_path_factory
 ):
-    text = _json_document(records, checksums)
+    text = _json_document(records, checksums, constants)
     parsed = ParseStats()
     loads(text, strict=False, stats=parsed)
     streamed = ParseStats()

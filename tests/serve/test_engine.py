@@ -112,6 +112,37 @@ class TestAnalysis:
                 assert engine.report_for(job_id) == analyze_report_text(upload)
             assert not engine.degraded
 
+    @pytest.mark.parametrize(
+        "constants", [[1], {"logEventTypes": [1]}], ids=["block", "table"]
+    )
+    def test_name_table_not_an_object_is_analyzed_not_quarantined(
+        self, constants
+    ):
+        # A constants block or name table that is not an object once
+        # escaped the parser as an AttributeError: each such upload was
+        # quarantined as a crashing job and charged to the breaker.
+        config = _config(workers=1, quarantine_after=2, breaker_threshold=2)
+        with JobEngine(config) as engine:
+            for time_value in (1.0, 2.0):
+                upload = json.dumps(
+                    {
+                        "constants": constants,
+                        "events": [
+                            {
+                                "time": time_value,
+                                "type": "X",
+                                "source": {"id": 1, "type": 1},
+                                "phase": 1,
+                            }
+                        ],
+                    }
+                ).encode()
+                job_id, _ = engine.submit(upload)
+                _wait_done(engine, job_id)
+                assert engine.job_status(job_id)["state"] == "done"
+                assert engine.report_for(job_id) == analyze_report_text(upload)
+            assert not engine.degraded
+
     def test_torn_upload_report_matches_batch(self, local_upload):
         torn = local_upload[: int(len(local_upload) * 0.65)]
         with JobEngine(_config()) as engine:

@@ -71,6 +71,51 @@ class TestAnalyze:
         assert main(["analyze", "--json", str(path)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_invalid_escape_in_top_level_key_is_usage(self, tmp_path, capsys):
+        path = tmp_path / "escape.json"
+        path.write_text('{"a\\q": 1, "events": []}')
+        assert main(["analyze", str(path)]) == EXIT_USAGE
+        assert _error_lines(capsys.readouterr().err) == 1
+
+    def test_name_table_not_an_object_is_analyzed(self, tmp_path, capsys):
+        path = tmp_path / "names.json"
+        path.write_text(
+            '{"constants": {"logEventTypes": [1]}, "events": [{"time": 1.0,'
+            ' "type": "X", "source": {"id": 1, "type": 1}, "phase": 1}]}'
+        )
+        assert main(["analyze", str(path)]) == EXIT_OK
+
+
+def _error_lines(stderr: str) -> int:
+    """How many ``error:`` lines ``stderr`` holds; a traceback fails."""
+    assert "Traceback" not in stderr
+    return sum(line.startswith("error:") for line in stderr.splitlines())
+
+
+class TestNetlogConvert:
+    _RECORD = (
+        '{"time": 1.0, "type": 2, "source": {"id": 1, "type": 1},'
+        ' "phase": 1, "params": {}%s}'
+    )
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"events": [{"time": %s, "type": 2, "source": {"id": 1,'
+            ' "type": 1}, "phase": 1}]}' % ("9" * 5001),
+            '{"events": [%s]}' % (_RECORD % ', "crc": 7'),
+            '{"events": [%s]}' % (_RECORD % ', "chain": 7'),
+        ],
+        ids=["over-long-int", "crc-only", "chain-only"],
+    )
+    def test_unconvertible_document_is_usage(self, document, tmp_path, capsys):
+        source = tmp_path / "in.json"
+        source.write_text(document)
+        code = main(["netlog", "convert", str(source), str(tmp_path / "out.nlbin")])
+        assert code == EXIT_USAGE
+        assert _error_lines(capsys.readouterr().err) == 1
+        assert not (tmp_path / "out.nlbin").exists()
+
 
 class TestStoreCommands:
     def test_fsck_missing_db_is_usage(self, tmp_path, capsys):
