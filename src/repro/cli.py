@@ -99,8 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="parse documents across N worker processes (0 = one per "
-        "CPU core; default: serial); output order is input order at any N",
+        help="parse documents across N processes, this one included "
+        "(0 or default: every CPU this process may use); output order is "
+        "input order at any N",
     )
 
     study = sub.add_parser("study", help="run a measurement campaign")
@@ -336,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="verify archived documents across N worker processes "
-        "(0 = one per CPU core; default: serial); reports are "
-        "byte-identical at any N",
+        help="verify archived documents across N processes, this one "
+        "included (0 or default: every CPU this process may use); reports "
+        "are byte-identical at any N",
     )
 
     netlog = sub.add_parser(
@@ -630,9 +631,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _analyze_many(paths: Sequence[str], jobs: int | None) -> int:
     """``repro analyze A B C``: one summary line per document.
 
-    The per-document parse + detection fans out across ``--jobs`` worker
-    processes; output order is always input order, so the listing is
-    byte-identical at any worker count.
+    The per-document parse + detection is shared by ``--jobs`` processes
+    (every CPU by default); output order is always input order, so the
+    listing is byte-identical at any count.
     """
     from .netlog.parallel import analyze_paths
 

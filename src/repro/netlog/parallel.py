@@ -1,45 +1,73 @@
-"""Multiprocess parse pool for archived NetLog documents.
+"""One work-sharing walk over archived NetLog documents.
 
 ``repro fsck`` and ``repro analyze`` are re-analysis workloads: many
 independent documents, each parsed (and, for fsck, canonically
-re-verified) in full.  The work is embarrassingly parallel and CPU-bound
-in the parser, so a small process pool scales it across cores — the
-paper's 11 TB re-parse is exactly this shape.
+re-verified) in full.  The work is CPU-bound in the parser and
+embarrassingly parallel, so by default every CPU this process may run on
+takes a share — the paper's 11 TB re-parse is exactly this shape.
 
-Workers are module-level functions over path strings (picklable under
-the ``spawn`` start method, like the crawl fabric's shard workers), and
-every public entry point preserves input order and falls back to a
-plain in-process loop for ``jobs <= 1`` — so a parallel run and a
-serial run of the same audit produce identical reports.
+:class:`SharedWalk` cuts the documents into chunks of :data:`CHUNK`
+(larger on an archive of more than :data:`MAX_CHUNKS` of them) and
+forks ``jobs - 1`` helpers.  Every process, the caller included, claims
+chunk numbers from one pipe, filled before the fork, and works its
+chunks.  A helper sends all its results back in one write once the pipe
+is empty.  The caller puts them in input order and works itself every
+chunk no helper returned, so a helper that dies early or writes short
+loses nothing, and every public entry point gives the serial results at
+any ``jobs``.  The walk forks only where ``os.fork`` exists, ``jobs`` is
+above 1, there is more than one chunk and the caller is the only live
+thread (a fork copies no other thread, nor releases a lock one holds);
+otherwise it is the same loop with the caller claiming every chunk.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import pickle
+import signal
+import struct
+import threading
+import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .binary import _event_loop
-from .codec import FORMAT_BINARY, FORMAT_JSON, sniff_format
-from .parser import NetLogParseError, ParseStats, _audit_text, _observed
+from .codec import FORMAT_BINARY, sniff_format
+from .parser import NetLogParseError, ParseStats, _audit_text, record_parse
 
-#: Hard cap on pool size — parse workers are memory-light but there is
-#: no benefit past the physical core count.
+#: Hard cap on the process count — parse workers are memory-light but
+#: there is no benefit past the physical core count.
 MAX_JOBS = 32
+
+#: Documents per claim: enough to make a claim's pipe read negligible,
+#: few enough that the last claims leave no process idle for long.
+CHUNK = 32
+
+#: Most chunks one walk cuts (chunks grow past :data:`CHUNK` to stay
+#: under it).  Their 4-byte numbers then fill at most one 4 KB page, the
+#: least a pipe holds, so filling the claim pipe never blocks.
+MAX_CHUNKS = 1024
+
+_CLAIM = struct.Struct("=I")
 
 
 def resolve_jobs(jobs: int | None, task_count: int | None = None) -> int:
-    """Normalise a ``--jobs`` value to an effective worker count.
+    """Normalise a ``--jobs`` value to a process count, this one included.
 
-    ``None``/``1`` mean serial; ``0`` and negative values mean "use the
-    machine" (cpu count).  The result never exceeds ``task_count`` — a
-    pool larger than the work list is pure spawn overhead.
+    ``None``, ``0`` and negative values mean every CPU this process may
+    run on (its affinity mask where the platform has one, else the CPU
+    count); ``1`` is serial.  The result never exceeds ``task_count`` —
+    a process with no document to work is pure fork overhead.
     """
-    if jobs is None:
-        resolved = 1
-    elif jobs <= 0:
-        resolved = os.cpu_count() or 1
+    if jobs is None or jobs <= 0:
+        resolved = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
     else:
         resolved = jobs
     resolved = min(resolved, MAX_JOBS)
@@ -51,14 +79,15 @@ def resolve_jobs(jobs: int | None, task_count: int | None = None) -> int:
 def verify_document(path: str | Path) -> ParseStats:
     """Salvage-parse + fully verify one archived document by path.
 
-    The standalone form of :meth:`NetLogArchive.verify` — importable by
-    pool workers without materialising an archive object.  Returns
-    exactly the :class:`ParseStats` of ``loads(raw, strict=False,
-    verify="full")`` over the file's bytes, and records the same parse
-    metrics, but builds no event, event list or sink.  The file is read
-    once and sniffed once: a binary document runs the frame loop's
-    ``full`` regime with event construction off, a JSON document the
-    stats-only walk of its decoded ``events``
+    The standalone form of :meth:`NetLogArchive.verify` — what
+    :func:`verify_paths` runs in the calling process, without
+    materialising an archive object.  Returns exactly the
+    :class:`ParseStats` of ``loads(raw, strict=False, verify="full")``
+    over the file's bytes, and records the same parse metrics, but
+    builds no event, event list or sink.  The file is read once and
+    sniffed once: a binary document runs the frame loop's ``full``
+    regime with event construction off, a JSON document the stats-only
+    walk of its decoded ``events``
     (:func:`~repro.netlog.parser._audit_text`) with the parsers'
     :class:`~repro.netlog.parser.ChainVerifier` and record rules (text
     that is not valid JSON salvages through the streaming walker, as in
@@ -71,20 +100,36 @@ def verify_document(path: str | Path) -> ParseStats:
     and divergence at record 0 unless the walk had already pinned it —
     so one foreign file is flagged by an audit instead of aborting it.
     """
+    return _settle(_audit(path))
+
+
+#: One audited document as a helper sends it back: its stats, format,
+#: parse mode (None when the walk rejected the document) and seconds.
+Audited = tuple[ParseStats, str, str | None, float]
+
+
+def _audit(path: str | Path) -> Audited:
+    """The audit of one document, recording nothing (see :func:`_settle`)."""
     with open(path, "rb", buffering=0) as fp:  # one read: no buffer layer
         raw = fp.read()
     stats = ParseStats()
+    format_name = sniff_format(raw)
+    binary = format_name == FORMAT_BINARY
+    text = "" if binary else raw.decode("utf-8", errors="replace")
+    start = time.perf_counter()
     try:
-        if sniff_format(raw) == FORMAT_BINARY:
-            _observed(
-                FORMAT_BINARY, False, stats, lambda own: (None, _audit_binary(raw, own))
-            )
-        else:
-            text = raw.decode("utf-8", errors="replace")
-            _observed(
-                FORMAT_JSON, False, stats, lambda own: (None, _audit_text(text, own))
-            )
+        mode = _audit_binary(raw, stats) if binary else _audit_text(text, stats)
     except Exception:  # noqa: BLE001 — content the walk cannot take is damage
+        mode = None
+    return stats, format_name, mode, time.perf_counter() - start
+
+
+def _settle(audited: Audited) -> ParseStats:
+    """Record an audited document's parse metrics in this process, as a
+    parse records them, then count a rejected document as damage."""
+    stats, format_name, mode, seconds = audited
+    record_parse(format_name, mode or "lenient", seconds, stats)
+    if mode is None:
         stats.dropped_malformed += 1
         if stats.first_divergence is None:
             stats.first_divergence = 0
@@ -101,7 +146,7 @@ def _audit_binary(document: bytes, stats: ParseStats | None) -> str:
 
 @dataclass(slots=True)
 class DocumentSummary:
-    """One document's analysis result, small enough to ship from a worker."""
+    """One document's analysis result, small enough to ship from a helper."""
 
     path: str
     stats: ParseStats
@@ -138,46 +183,187 @@ def _analyze_one(path_str: str) -> DocumentSummary:
     return DocumentSummary(path=path_str, stats=ParseStats(), error=error)
 
 
-def _pool_map(worker, items: Sequence[str], jobs: int) -> list:
-    """Order-preserving map over a spawn-based process pool.
+class SharedWalk:
+    """``work`` over ``items`` on ``jobs`` processes, results in input order.
 
-    Items travel in chunks, about four per worker (the
-    ``multiprocessing.Pool.map`` default), so a pool pays one round
-    trip per chunk instead of one per document.
+    Creating the walk forks its helpers, which start claiming at once;
+    :meth:`results` has the caller claim too, then gathers.  A helper
+    runs ``remote`` (default ``work``) on each item, and the caller turns
+    each value it returns into ``work``'s result with ``settle``
+    (default: the value as is).  Leaving the walk as a context manager,
+    on any exception too, kills and reaps every helper.
     """
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = -(-len(items) // (jobs * 4))
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=context
-    ) as executor:
-        return list(executor.map(worker, items, chunksize=chunksize))
+    def __init__(
+        self,
+        work: Callable,
+        items: Sequence,
+        jobs: int,
+        remote: Callable | None = None,
+        settle: Callable | None = None,
+    ) -> None:
+        size = max(CHUNK, -(-len(items) // MAX_CHUNKS))
+        self._chunks = [items[i:i + size] for i in range(0, len(items), size)]
+        self._work = work
+        self._settle = settle
+        #: Each live helper's pid and the read end of its result pipe.
+        self._helpers: dict[int, int] = {}
+        self._queue: int | None = None
+        self._claims: Iterable[int] = range(len(self._chunks))
+        helpers = min(jobs, len(self._chunks)) - 1
+        if helpers > 0 and hasattr(os, "fork") and threading.active_count() == 1:
+            try:
+                self._fork(helpers, remote or work)
+            except BaseException:
+                self.close()
+                raise
+
+    def __enter__(self) -> "SharedWalk":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _fork(self, helpers: int, remote: Callable) -> None:
+        self._queue, fill = os.pipe()
+        os.write(fill, b"".join(map(_CLAIM.pack, range(len(self._chunks)))))
+        os.close(fill)
+        self._claims = _claimed(self._queue)
+        parent = os.getpid()
+        # An interrupt waits until each helper is on the books, so the
+        # caller can kill every helper it forked.
+        unmasked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(helpers):
+                results, sent = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: fewer helpers
+                    os.close(results)
+                    os.close(sent)
+                    break
+                if pid == 0:
+                    _help(parent, self._queue, sent, self._chunks, remote)
+                self._helpers[pid] = results
+                os.close(sent)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, unmasked)
+
+    def results(self) -> list:
+        """Work the caller's share, join the helpers; every result, in order."""
+        chunks, work, settle = self._chunks, self._work, self._settle
+        done: list[list | None] = [None] * len(chunks)
+        for index in self._claims:
+            done[index] = [work(item) for item in chunks[index]]
+        for pid in list(self._helpers):
+            for index, values in self._gather(pid):
+                if done[index] is None and len(values) == len(chunks[index]):
+                    done[index] = list(map(settle, values)) if settle else values
+        self.close()
+        return [
+            result
+            for chunk, results in zip(chunks, done)
+            for result in (map(work, chunk) if results is None else results)
+        ]
+
+    def _gather(self, pid: int) -> list:
+        """One helper's results, read to EOF, and the helper reaped; a
+        short or garbled write returns nothing."""
+        fd = self._helpers[pid]
+        parts = []
+        while part := os.read(fd, 1 << 16):
+            parts.append(part)
+        os.waitpid(pid, 0)
+        del self._helpers[pid]
+        os.close(fd)
+        try:
+            return pickle.loads(b"".join(parts))
+        except Exception:  # noqa: BLE001 — the caller works those chunks
+            return []
+
+    def close(self) -> None:
+        """Kill and reap every helper still alive; close the pipes."""
+        for pid, fd in self._helpers.items():
+            os.close(fd)
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        self._helpers.clear()
+        if self._queue is not None:
+            os.close(self._queue)
+            self._queue = None
+
+
+def _claimed(queue: int) -> Iterator[int]:
+    """Chunk numbers claimed from the queue until it is empty."""
+    while claim := os.read(queue, _CLAIM.size):
+        yield _CLAIM.unpack(claim)[0]
+
+
+def _help(
+    parent: int, queue: int, sent: int, chunks: list, remote: Callable
+) -> NoReturn:
+    """A helper's whole life.
+
+    It ignores SIGINT (the caller handles the interrupt), collects none
+    of the objects it inherited (so runs none of their finalizers, an
+    inherited SQLite connection's say), stops at its next claim once its
+    parent is gone, and sends its results in one write once the queue is
+    empty: a helper writing as it went would stall on a full pipe while
+    the caller is still working its own share.  It ends with
+    ``os._exit``, flushing no inherited stdio buffer and running no
+    atexit handler.
+    """
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        gc.freeze()
+        done = []
+        for index in _claimed(queue):
+            if os.getppid() != parent:
+                return
+            done.append((index, [remote(item) for item in chunks[index]]))
+        view = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        while view:
+            view = view[os.write(sent, view):]
+    finally:
+        os._exit(0)
+
+
+def verifying(paths: Iterable[str | Path], *, jobs: int | None = None) -> SharedWalk:
+    """Start verifying documents on a :class:`SharedWalk`.
+
+    Its :meth:`~SharedWalk.results` are each document's
+    :func:`verify_document` stats, in input order.  The helpers start
+    verifying at once: ``fsck`` scans rows meanwhile.  Every document's
+    parse metrics are recorded in this process, once.
+    """
+    ordered = [os.fspath(path) for path in paths]
+    return SharedWalk(
+        verify_document,
+        ordered,
+        resolve_jobs(jobs, len(ordered)),
+        remote=_audit,
+        settle=_settle,
+    )
 
 
 def verify_paths(
     paths: Iterable[str | Path], *, jobs: int | None = None
 ) -> list[tuple[str | Path, ParseStats]]:
-    """Fully verify many archived documents, optionally in parallel.
+    """Fully verify many archived documents on every CPU by default.
 
     Returns ``(path, stats)`` pairs, each path as given, in input order
-    regardless of worker count, so fsck reports are byte-stable under
-    ``--jobs N``.
+    at any ``jobs``, so fsck reports are byte-stable under ``--jobs N``.
     """
     given = list(paths)
-    ordered = [os.fspath(path) for path in given]
-    effective = resolve_jobs(jobs, len(ordered))
-    results = _pool_map(verify_document, ordered, effective)
-    return list(zip(given, results))
+    with verifying(given, jobs=jobs) as walk:
+        return list(zip(given, walk.results()))
 
 
 def analyze_paths(
     paths: Iterable[str | Path], *, jobs: int | None = None
 ) -> list[DocumentSummary]:
-    """Parse + detect over many documents, optionally in parallel."""
+    """Parse + detect over many documents on every CPU by default."""
     ordered = [str(path) for path in paths]
-    effective = resolve_jobs(jobs, len(ordered))
-    return _pool_map(_analyze_one, ordered, effective)
+    with SharedWalk(_analyze_one, ordered, resolve_jobs(jobs, len(ordered))) as walk:
+        return walk.results()

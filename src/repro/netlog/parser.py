@@ -557,9 +557,7 @@ def _observed(
     ``repro_netlog_parse_seconds{mode,format}`` and its ParseStats
     deltas in ``repro_netlog_records_total{disposition}``, also when it
     raises.  An internal ParseStats is used when the caller passed none;
-    deltas keep reused caller stats honest.  :func:`loads` and the audit
-    (:func:`repro.netlog.parallel.verify_document`) both run through
-    here, so they record alike.
+    deltas keep reused caller stats honest.
     """
     if not _PARSE_SECONDS.enabled:
         return body(stats)[0]
@@ -571,13 +569,34 @@ def _observed(
         result, mode = body(own_stats)
         return result
     finally:
-        _PARSE_SECONDS.observe(
-            time.perf_counter() - start, labels=(mode, format_name)
+        record_parse(
+            format_name, mode, time.perf_counter() - start, own_stats, before
         )
-        for (attr, disposition), prior in zip(_STAT_DISPOSITIONS, before):
-            delta = getattr(own_stats, attr) - prior
-            if delta:
-                _RECORDS.inc(delta, labels=(disposition,))
+
+
+def record_parse(
+    format_name: str,
+    mode: str,
+    seconds: float,
+    stats: ParseStats,
+    before: tuple[int, ...] = (0,) * len(_STAT_DISPOSITIONS),
+) -> None:
+    """Record one whole-document parse, when obs is on: ``seconds`` in
+    ``repro_netlog_parse_seconds{mode,format}`` and the ``stats`` counts
+    since ``before`` in ``repro_netlog_records_total{disposition}``.
+
+    :func:`_observed` records every parse through here, and the audit
+    (:func:`repro.netlog.parallel.verify_document`) every document it
+    verifies, in the calling process also for the documents a helper
+    verified, so they record alike.
+    """
+    if not _PARSE_SECONDS.enabled:
+        return
+    _PARSE_SECONDS.observe(seconds, labels=(mode, format_name))
+    for (attr, disposition), prior in zip(_STAT_DISPOSITIONS, before):
+        delta = getattr(stats, attr) - prior
+        if delta:
+            _RECORDS.inc(delta, labels=(disposition,))
 
 
 #: Largest finite float.  The audit's one step leaves an int ``time``
@@ -759,13 +778,25 @@ def iter_events(
 
 def _events_array(document: object) -> tuple[dict, list]:
     """A decoded document's event-type name table and ``events`` list;
-    raises :class:`NetLogParseError` when it is not a NetLog object."""
+    raises :class:`NetLogParseError` when it is not a NetLog object.
+
+    Event names come only from a ``constants`` block that precedes
+    ``events``: Chrome's own order, and all that the streaming scanner
+    can know when it reaches a record.  The decoded object keeps its
+    keys in document order, so this is two key steps for our documents
+    (``visitMeta``, ``constants``).
+    """
     if not isinstance(document, dict):
         raise NetLogParseError("NetLog document must be a JSON object")
     raw_events = document.get("events")
     if not isinstance(raw_events, list):
         raise NetLogParseError("NetLog document missing 'events' array")
-    return event_name_table(document.get("constants")), raw_events
+    for key in document:
+        if key == "constants":
+            return event_name_table(document[key]), raw_events
+        if key == "events":
+            break
+    return {}, raw_events
 
 
 def event_name_table(constants: object) -> dict:

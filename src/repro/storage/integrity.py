@@ -32,6 +32,7 @@ import itertools
 import json
 import operator
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -40,6 +41,7 @@ from ..netlog.writer import encode_compact
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (db -> migrations -> here)
     from ..netlog.archive import NetLogArchive
+    from ..netlog.parser import ParseStats
     from .db import TelemetryStore
 
 _FSCK_FINDINGS = obs.counter(
@@ -371,18 +373,39 @@ def fsck(
         else [row[0] for row in conn.execute("SELECT DISTINCT crawl FROM visits")]
     )
 
+    # Verification (the CPU-bound part: a full canonical re-parse of
+    # every document) runs on the shared walk of ``netlog.parallel``;
+    # findings and repairs stay in this process, in order, so reports
+    # are byte-stable at any ``jobs``.
+    from ..netlog.parallel import verifying
+
     _scan_orphans(store, report, repair)
     for crawl_name in crawls:
-        # One listing of the crawl's archive serves both scans; a repair
-        # pass lists again, since a re-visit may have written documents.
+        # One listing of the crawl's archive serves both scans.  A
+        # read-only audit's listing is final, so the walk's helpers
+        # verify it while this process scans the rows; a repair lists
+        # again after the row repairs, since a re-visit may have written
+        # documents, and verifies then.
         documents = archive.documents(crawl_name) if archive is not None else []
-        _scan_visits(store, archive, documents, crawl_name, report, repair, revisit)
-        if archive is not None:
-            if repair:
-                documents = archive.documents(crawl_name)
-            _scan_archive(
-                store, archive, documents, crawl_name, report, repair, revisit, jobs
+        with ExitStack() as walks:
+            walk = (
+                walks.enter_context(verifying(_paths(documents), jobs=jobs))
+                if archive is not None and not repair
+                else None
             )
+            _scan_visits(
+                store, archive, documents, crawl_name, report, repair, revisit
+            )
+            if archive is not None:
+                if walk is None:
+                    documents = archive.documents(crawl_name)
+                    walk = walks.enter_context(
+                        verifying(_paths(documents), jobs=jobs)
+                    )
+                _scan_archive(
+                    store, archive, documents, walk.results(),
+                    crawl_name, report, repair, revisit,
+                )
         report.campaign_digests[crawl_name] = campaign_digest(store, crawl_name)
     if repair:
         store.commit()
@@ -536,15 +559,19 @@ def _scan_visits(
         report.findings.append(finding)
 
 
+def _paths(documents: list[tuple[str, str, str]]) -> list[str]:
+    return [path for _, _, path in documents]
+
+
 def _scan_archive(
     store: "TelemetryStore",
     archive: "NetLogArchive",
     documents: list[tuple[str, str, str]],
+    verified: "list[ParseStats]",
     crawl: str,
     report: FsckReport,
     repair: bool,
     revisit: Revisiter | None,
-    jobs: int | None = None,
 ) -> None:
     conn = store.connection
     recorded = {
@@ -553,14 +580,7 @@ def _scan_archive(
             "SELECT os_name, domain FROM visits WHERE crawl = ?", (crawl,)
         )
     }
-    # Verification (the CPU-bound part: a full canonical re-parse of
-    # every document) fans out across a process pool under ``jobs``;
-    # findings and repairs stay sequential, so reports are byte-stable
-    # at any worker count.
-    from ..netlog.parallel import verify_paths
-
-    verified = verify_paths([path for _, _, path in documents], jobs=jobs)
-    for (os_name, domain, _), (_, stats) in zip(documents, verified):
+    for (os_name, domain, _), stats in zip(documents, verified):
         report.scanned_archives += 1
         if not _archive_clean(stats):
             finding = FsckFinding(

@@ -271,6 +271,93 @@ class TestNonStrictRecordHandling:
         with pytest.raises(NetLogParseError, match="unknown event type"):
             _streaming(text, strict=True)
 
+    _NAMED = {
+        "time": 1.0,
+        "type": "URL_REQUEST_START_JOB",
+        "source": {"id": 1, "type": 1},
+        "phase": 1,
+    }
+    _START_JOB = {"logEventTypes": {"URL_REQUEST_START_JOB": 2}}
+    _REDIRECTED = {"logEventTypes": {"URL_REQUEST_START_JOB": 3}}
+
+    @staticmethod
+    def _keyed(*pairs):
+        # Top-level keys in the given order, duplicates kept.
+        return "{" + ", ".join(f'"{key}": {json.dumps(value)}' for key, value in pairs) + "}"
+
+    @staticmethod
+    def _outcomes(text, tmp_path):
+        """Each reader's events (or exception class) and stats, both modes."""
+
+        def run(read, strict):
+            stats = ParseStats()
+            try:
+                events = [event.type for event in read(text, strict, stats)]
+            except NetLogParseError as exc:
+                events = type(exc).__name__
+            return events, stats
+
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        return {
+            "loads": [
+                run(lambda t, s, st: loads(t, strict=s, stats=st), strict)
+                for strict in (False, True)
+            ],
+            "streaming": [
+                run(lambda t, s, st: _streaming(t, st, strict=s), strict)
+                for strict in (False, True)
+            ],
+            "audit": verify_document(path),
+        }
+
+    @pytest.mark.parametrize(
+        "order",
+        ["events-first", "constants-first", "two-constants-first"],
+    )
+    def test_names_come_from_a_constants_block_before_events(self, order, tmp_path):
+        # Chrome writes constants first; a reader meeting a record has
+        # seen only what came before it, so every reader takes names
+        # from a block before events and none from one after.
+        pairs = {
+            "events-first": [("events", [self._NAMED]), ("constants", self._START_JOB)],
+            "constants-first": [("constants", self._START_JOB), ("events", [self._NAMED])],
+            "two-constants-first": [
+                ("constants", self._REDIRECTED),
+                ("constants", self._START_JOB),
+                ("events", [self._NAMED]),
+            ],
+        }[order]
+        outcomes = self._outcomes(self._keyed(*pairs), tmp_path)
+        assert outcomes["loads"] == outcomes["streaming"]
+        assert outcomes["audit"] == outcomes["loads"][0][1]
+        if order == "events-first":
+            assert outcomes["loads"] == [
+                ([], ParseStats(dropped_unknown_type=1)),
+                ("NetLogParseError", ParseStats()),
+            ]
+        else:
+            named = [EventType.URL_REQUEST_START_JOB]
+            assert outcomes["loads"] == [
+                (named, ParseStats(parsed=1)),
+                (named, ParseStats(parsed=1)),
+            ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a decoded object keeps one value per key: the whole-document "
+        "readers see the later of two constants blocks around events, the "
+        "streaming scanner the earlier",
+    )
+    def test_constants_blocks_around_events(self, tmp_path):
+        text = self._keyed(
+            ("constants", self._START_JOB),
+            ("events", [self._NAMED]),
+            ("constants", self._REDIRECTED),
+        )
+        outcomes = self._outcomes(text, tmp_path)
+        assert outcomes["loads"] == outcomes["streaming"]
+
     def test_invalid_escape_in_top_level_key_is_not_a_netlog(
         self, document, tmp_path
     ):

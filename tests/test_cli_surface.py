@@ -51,7 +51,7 @@ from .serve.conftest import build_upload
 
 #: sha256 of the parser's declarations (see :func:`declarations`).
 DECLARATION_DIGEST = (
-    "6a6005c2a508758a9c3bc68cb776c22f366a80a67559b3074c774cfefc268dcf"
+    "67de335692546b2a62cab259c01835c9f3352d8a65206f1105e432f0b25680dd"
 )
 #: sha256 of the normalised transcript (see :func:`transcript`).
 TRANSCRIPT_DIGEST = (
