@@ -18,6 +18,10 @@ any ``jobs``.  The walk forks only where ``os.fork`` exists, ``jobs`` is
 above 1, there is more than one chunk and the caller is the only live
 thread (a fork copies no other thread, nor releases a lock one holds);
 otherwise it is the same loop with the caller claiming every chunk.
+Helpers verify with the library's own audit, so a verifying walk also
+stays in this process while :func:`verify_document` is replaced (a
+tracer's timing wrapper, a test double): the replacement then sees
+every document, and nothing it records ends with a helper.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ def verify_document(path: str | Path) -> ParseStats:
     so one foreign file is flagged by an audit instead of aborting it.
     """
     return _settle(_audit(path))
+
+
+#: What the helpers' ``_audit`` + the caller's ``_settle`` amount to;
+#: a :func:`verify_document` binding with other code is a replacement.
+_OWN_VERIFY = verify_document.__code__
 
 
 #: One audited document as a helper sends it back: its stats, format,
@@ -335,13 +344,16 @@ def verifying(paths: Iterable[str | Path], *, jobs: int | None = None) -> Shared
     Its :meth:`~SharedWalk.results` are each document's
     :func:`verify_document` stats, in input order.  The helpers start
     verifying at once: ``fsck`` scans rows meanwhile.  Every document's
-    parse metrics are recorded in this process, once.
+    parse metrics are recorded in this process, once.  A replaced
+    :func:`verify_document` runs on every document here, with no helper.
     """
     ordered = [os.fspath(path) for path in paths]
+    work = verify_document
+    own = getattr(work, "__code__", None) is _OWN_VERIFY
     return SharedWalk(
-        verify_document,
+        work,
         ordered,
-        resolve_jobs(jobs, len(ordered)),
+        resolve_jobs(jobs, len(ordered)) if own else 1,
         remote=_audit,
         settle=_settle,
     )

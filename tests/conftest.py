@@ -6,6 +6,8 @@ so every test sees identical findings without re-crawling per test.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.crawler.campaign import run_campaign
@@ -128,3 +130,27 @@ class EventBuilder:
 @pytest.fixture
 def events() -> EventBuilder:
     return EventBuilder()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes this test forks; each must be reaped by
+    the end of the test.
+
+    (Each pid is checked on its own: ``waitpid(-1)`` would also see
+    children of other tests, such as multiprocessing's resource tracker.)
+    """
+    pids: list[int] = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

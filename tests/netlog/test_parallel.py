@@ -171,30 +171,6 @@ def _with_missing(paths):
     return [*paths[:at], paths[at].with_name("missing.example.json"), *paths[at:]]
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids of the helpers the walk forks."""
-    pids = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _no_child_left(pids):
-    # Each helper is reaped.  (``waitpid(-1)`` would also see children
-    # of other tests, such as multiprocessing's resource tracker.)
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def _caller_only(function):
     """``function`` wrapped to count its calls in this process only."""
     caller, calls = os.getpid(), []
@@ -208,6 +184,9 @@ def _caller_only(function):
 
 
 class TestSharedWalk:
+    """Every test taking ``forks`` also requires each helper it forked
+    to have been reaped (the fixture checks when the test ends)."""
+
     def test_results_equal_at_every_jobs(self, many, forks):
         serial = verify_paths(many, jobs=1)
         summaries = analyze_paths(_with_missing(many), jobs=1)
@@ -218,7 +197,6 @@ class TestSharedWalk:
             assert verify_paths(many, jobs=jobs) == serial
             assert analyze_paths(_with_missing(many), jobs=jobs) == summaries
         assert forks  # at least one walk shared its chunks
-        _no_child_left(forks)
 
     def test_missing_document_raises_at_every_jobs(self, many, forks):
         # The caller verifies what a failed helper did not return, so the
@@ -227,7 +205,6 @@ class TestSharedWalk:
             with pytest.raises(FileNotFoundError):
                 verify_paths(_with_missing(many), jobs=jobs)
         assert forks
-        _no_child_left(forks)
 
     def test_helper_exiting_after_its_first_chunk_loses_nothing(
         self, many, forks, monkeypatch
@@ -245,7 +222,6 @@ class TestSharedWalk:
         monkeypatch.setattr(parallel, "_audit", dying)
         assert verify_paths(many, jobs=2) == serial
         assert forks
-        _no_child_left(forks)
 
     def test_short_write_loses_nothing(self, many, forks, monkeypatch):
         serial = verify_paths(many, jobs=1)
@@ -255,88 +231,84 @@ class TestSharedWalk:
         )
         assert verify_paths(many, jobs=3) == serial
         assert forks
-        _no_child_left(forks)
 
     def test_orphaned_helper_stops_at_its_next_claim(self, many, forks, monkeypatch):
         # A helper whose parent is gone claims once more, then exits
         # without a result: the caller verifies every document itself.
         serial = verify_paths(many, jobs=1)
         monkeypatch.setattr(os, "getppid", lambda: 1)
-        work, calls = _caller_only(verify_document)
-        monkeypatch.setattr(parallel, "verify_document", work)
+        audit, calls = _caller_only(parallel._audit)
+        monkeypatch.setattr(parallel, "_audit", audit)
         assert verify_paths(many, jobs=2) == serial
         assert len(calls) == len(many)
         assert forks
-        _no_child_left(forks)
 
     def test_helpers_ignore_sigint(self, many, forks, monkeypatch):
         serial = verify_paths(many, jobs=1)
-        caller, audit = os.getpid(), parallel._audit
+        caller, audit, held = os.getpid(), parallel._audit, []
 
         def interrupted(path):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGINT)
-            return audit(path)
-
-        held = []
-
-        def slow_first(path):
-            # Holds the caller back so the helper claims chunks.
-            if not held:
+            elif not held:
+                # Holds the caller back so the helper claims chunks.
                 held.append(path)
                 time.sleep(0.5)
-            return verify_document(path)
+            return audit(path)
 
-        work, calls = _caller_only(slow_first)
-        monkeypatch.setattr(parallel, "_audit", interrupted)
-        monkeypatch.setattr(parallel, "verify_document", work)
+        work, calls = _caller_only(interrupted)
+        monkeypatch.setattr(parallel, "_audit", work)
         assert verify_paths(many, jobs=2) == serial
         assert forks
         # The helper survived its SIGINTs and returned its chunks.
         assert len(calls) < len(many)
-        _no_child_left(forks)
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_caller_exception_propagates_and_helpers_are_reaped(
         self, many, forks, monkeypatch, error
     ):
-        caller, audit = os.getpid(), parallel._audit
+        caller = os.getpid()
 
         def failing(path):
             if os.getpid() == caller:
                 raise error("in the caller's share")
-            return verify_document(path)
-
-        def stuck(path):
             time.sleep(60)  # only SIGKILL ends this helper in time
-            return audit(path)
 
-        monkeypatch.setattr(parallel, "verify_document", failing)
-        monkeypatch.setattr(parallel, "_audit", stuck)
+        monkeypatch.setattr(parallel, "_audit", failing)
         started = time.perf_counter()
         with pytest.raises(error, match="caller's share"):
             verify_paths(many, jobs=3)
         assert time.perf_counter() - started < 30
         assert len(forks) == 2
-        _no_child_left(forks)
 
-    def test_interrupt_while_forking_reaps_every_helper(self, many, monkeypatch):
+    def test_interrupt_while_forking_reaps_every_helper(self, many, forks, monkeypatch):
         # SIGINT waits until the helper just forked is on the caller's
         # books, so the caller kills it too.
-        pids, real = [], os.fork
+        recorded = os.fork
 
         def fork():
-            pid = real()
+            pid = recorded()
             if pid:
-                pids.append(pid)
                 os.kill(os.getpid(), signal.SIGINT)
             return pid
 
         monkeypatch.setattr(os, "fork", fork)
         with pytest.raises(KeyboardInterrupt):
             verify_paths(many, jobs=3)
-        assert len(pids) == 2
-        _no_child_left(pids)
+        assert len(forks) == 2
+
+    def test_replaced_verify_document_sees_every_document(
+        self, many, forks, monkeypatch
+    ):
+        # Helpers run the library's audit, so a replacement (a tracer's
+        # timing wrapper, a test double) keeps the walk in this process,
+        # where it sees every document, and the results are the serial ones.
+        serial = verify_paths(many, jobs=1)
+        work, calls = _caller_only(verify_document)
+        monkeypatch.setattr(parallel, "verify_document", work)
+        assert verify_paths(many, jobs=2) == serial
+        assert calls == [os.fspath(path) for path in many]
+        assert not forks
 
     def test_no_fork_with_a_second_live_thread(self, many, monkeypatch):
         serial = verify_paths(many, jobs=1)
@@ -377,7 +349,6 @@ class TestSharedWalk:
             atexit.unregister(handler)
         assert forks
         assert not ran.exists()
-        _no_child_left(forks)
 
     def test_one_chunk_never_forks(self, archive, forks):
         paths = list(archive.entries("crawl-1"))
@@ -405,7 +376,6 @@ class TestSharedWalk:
         assert sum(serial[0].values()) == len(many)
         assert metrics(2) == serial
         assert forks
-        _no_child_left(forks)
 
     def test_claim_queue_is_bounded_on_a_large_walk(self, forks):
         # Chunks grow past CHUNK on a large walk, so the queue's chunk
@@ -417,7 +387,6 @@ class TestSharedWalk:
             assert MAX_CHUNKS * parallel._CLAIM.size <= 4096
             assert walk.results() == [len(item) for item in items]
         assert forks
-        _no_child_left(forks)
 
     def test_every_chunk_is_worked_once_under_contention(self, tmp_path, forks):
         # More processes than cores race for small claims; each item is
@@ -438,4 +407,3 @@ class TestSharedWalk:
             os.close(fd)
         assert len(forks) == 5
         assert sorted(log.read_text().split()) == sorted(items)
-        _no_child_left(forks)

@@ -6,12 +6,12 @@ both formats, a missing document, an orphaned document and orphaned
 rows, among others) plus a truncated JSON document and a bit flipped in
 a binary document's header frame.  It holds many chunks of documents,
 so every ``jobs`` above 1 shares verification with forked helpers.
+A test taking the ``forks`` fixture also requires each of them reaped.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import shutil
 
 import pytest
@@ -56,27 +56,6 @@ def _report(root, population, jobs, repair=False):
     return json.dumps(report.to_json()), report.render()
 
 
-def _forks(monkeypatch):
-    """The pids of the helpers fsck forks."""
-    pids = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def test_corpus_spans_chunks_and_damage(corpus):
     root, truncated, header = corpus
     assert len(list(NetLogArchive(root / "netlogs").entries())) > 3 * CHUNK
@@ -91,18 +70,16 @@ def test_corpus_spans_chunks_and_damage(corpus):
     assert header.stem in details
 
 
-def test_read_only_report_at_every_jobs(corpus, population, monkeypatch):
+def test_read_only_report_at_every_jobs(corpus, population, forks):
     root = corpus[0]
-    forks = _forks(monkeypatch)
     serial = _report(root, population, 1)
     assert not forks
     for jobs in JOBS[1:]:
         assert _report(root, population, jobs) == serial
     assert forks
-    _reaped(forks)
 
 
-def test_failed_row_scan_reaps_the_helpers(corpus, population, monkeypatch):
+def test_failed_row_scan_reaps_the_helpers(corpus, population, forks, monkeypatch):
     # A read-only audit forks its helpers before the row scan; an error
     # there reaches the caller with every helper killed and reaped.
     from repro.storage import integrity
@@ -110,12 +87,10 @@ def test_failed_row_scan_reaps_the_helpers(corpus, population, monkeypatch):
     def failing(*args):
         raise KeyboardInterrupt
 
-    forks = _forks(monkeypatch)
     monkeypatch.setattr(integrity, "_scan_visits", failing)
     with pytest.raises(KeyboardInterrupt):
         _report(corpus[0], population, 2)
     assert forks
-    _reaped(forks)
 
 
 def test_repair_report_at_every_jobs(corpus, population, tmp_path):
